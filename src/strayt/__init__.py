@@ -8,11 +8,11 @@ from .notation import NotationError, parse_images, parse_linear, print_linear
 from .cayley import (CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
                      enumerate_semigroup)
 from .straightwords import (SearchLimits, WordSearch, all_straight_words,
-                            straight_paths, straight_permutator_words)
-from .permutator import (MinimalStraightCode, NotAPermutatorWord,
-                         PermutatorSemigroup, factorize, is_minimal_permutator,
-                         minimal_straight_permutators, perm_semigroup,
-                         reduce_word, retract, subgroup_closure)
+                            permuting, search, straight_paths,
+                            straight_permutator_words)
+from .permutator import (NotAPermutatorWord, PermutatorSemigroup, factorize,
+                         is_minimal_permutator, minimal_straight_permutators,
+                         perm_semigroup, reduce_word, retract, subgroup_closure)
 from .cli import (PresentationFileError, fixture_path, load_presentation,
                   load_word_aliases, parse_cli_word)
 
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CayleyGraph",
     "EnumerationLimitExceeded",
-    "MinimalStraightCode",
     "NotAPermutator",
     "NotAPermutatorWord",
     "NotInSemigroup",
@@ -50,10 +49,12 @@ __all__ = [
     "parse_linear",
     "perm_semigroup",
     "permutes",
+    "permuting",
     "print_linear",
     "reduce_word",
     "restrict",
     "retract",
+    "search",
     "stateset",
     "straight_paths",
     "straight_permutator_words",

@@ -59,6 +59,10 @@ class CayleyGraph:
     def element(self, node: int) -> Transformation:
         return Transformation(self._elements[node])
 
+    def images(self, node: int) -> bytes:
+        """The node's map as the images of states 1..n."""
+        return self._elements[node]
+
     def element_index(self, s: Transformation) -> int:
         """Node of a transformation, or NotInSemigroup if it was never generated."""
         if s.n != self.presentation.n:
@@ -125,9 +129,10 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
 
     Discovery order is fixed: elements appear in word-length order with
     ties broken by generator position, which pins node numbering and first
-    words. `max_elements` caps the number of generated elements, raising
-    EnumerationLimitExceeded beyond it. State counts above 255 are not
-    supported (images are packed into bytes).
+    words. `max_elements` caps the order (the identity counts once a
+    product of generators equals it), raising EnumerationLimitExceeded
+    beyond it. State counts above 255 are not supported (images are
+    packed into bytes).
     """
     n = p.n
     if n > 255:
@@ -157,9 +162,6 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
             nxt = index_get(img)
             if nxt is None:
                 nxt = len(elements)
-                if max_elements is not None and nxt > max_elements:
-                    raise EnumerationLimitExceeded(
-                        f"enumeration exceeded the cap of {max_elements} elements")
                 index[img] = nxt
                 elements.append(img)
                 parent_node.append(node)
@@ -167,6 +169,9 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
             elif nxt == 0:
                 contains_identity = True
             edges_append(nxt)
+        if max_elements is not None and len(elements) - 1 + contains_identity > max_elements:
+            raise EnumerationLimitExceeded(
+                f"enumeration exceeded the cap of {max_elements} elements")
         node += 1
 
     return CayleyGraph(p, elements, index, edges, parent_node, parent_letter,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,9 @@ EXIT_PARSE = 2
 EXIT_NOT_IN_SEMIGROUP = 3
 EXIT_NOT_PERMUTATOR = 4
 EXIT_TRUNCATED = 5
+
+# an `@name` token: starts the text or follows a word separator
+_ALIAS = re.compile(r"(?<![^\s.])@([^\s.]*)")
 
 
 class PresentationFileError(StraytError):
@@ -128,19 +132,13 @@ def parse_cli_word(p: Presentation, text: str,
                    aliases: dict[str, str] | None = None) -> tuple[int, ...]:
     """Parse a command-line word, expanding `@name` sidecar aliases."""
     aliases = aliases or {}
-    letters: list[int] = []
-    tokens = text.replace(".", " ").split()
-    if not tokens:
-        raise ValueError("empty word")
-    for tok in tokens:
-        if tok.startswith("@"):
-            name = tok[1:]
-            if name not in aliases:
-                raise ValueError(f"unknown word alias {tok!r}")
-            letters.extend(p.word(aliases[name]))
-        else:
-            letters.extend(p.word(tok))
-    return tuple(letters)
+
+    def expand(m: re.Match) -> str:
+        if m.group(1) not in aliases:
+            raise ValueError(f"unknown word alias {m.group(0)!r}")
+        return aliases[m.group(1)]
+
+    return p.word(_ALIAS.sub(expand, text))
 
 
 def _resolve_target(graph: CayleyGraph, text: str, aliases: dict[str, str]) -> int:
@@ -203,22 +201,24 @@ def cmd_order(args) -> int:
 
 
 def cmd_straight(args) -> int:
+    limits = _limits(args)
     graph = _load_graph(args.file)
     if args.all:
         target = None
     else:
         aliases = load_word_aliases(sidecar_path(args.file))
         target = _resolve_target(graph, args.target, aliases)
-    return _finish_search(graph, all_straight_words(graph, target, _limits(args)))
+    return _finish_search(graph, all_straight_words(graph, target, limits))
 
 
 def cmd_perm(args) -> int:
+    limits = _limits(args)
     graph = _load_graph(args.file)
     states = _parse_states(args.set)
     if args.words:
-        return _finish_search(graph, straight_permutator_words(graph, states, _limits(args)))
+        return _finish_search(graph, straight_permutator_words(graph, states, limits))
     if args.minimal:
-        return _finish_search(graph, minimal_straight_permutators(graph, states, _limits(args)))
+        return _finish_search(graph, minimal_straight_permutators(graph, states, limits))
     ps = perm_semigroup(graph, states)
     if args.group_order:
         if args.tsv:

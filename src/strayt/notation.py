@@ -95,17 +95,25 @@ class _Parser:
         return True, entries
 
     def entry(self) -> _Entry:
-        if self.peek() != "[":
-            return self.point(), []
-        self.take("[")
-        sources = [self.entry()]
-        while self.peek() == ",":
-            self.take(",")
-            sources.append(self.entry())
-        self.take(";")
-        target = self.point()
-        self.take("]")
-        return target, sources
+        # iterative, so nesting depth is not bounded by the recursion limit;
+        # each open bracket holds the sources read so far inside it
+        brackets: list[list[_Entry]] = []
+        while True:
+            while self.peek() == "[":
+                self.take("[")
+                brackets.append([])
+            done: _Entry = (self.point(), [])
+            while brackets:
+                brackets[-1].append(done)
+                if self.peek() == ",":
+                    self.take(",")
+                    break
+                self.take(";")
+                target = self.point()
+                self.take("]")
+                done = (target, brackets.pop())
+            else:
+                return done
 
 
 def parse_linear(text: str, n: int) -> Transformation:
@@ -127,10 +135,18 @@ def parse_linear(text: str, n: int) -> Transformation:
         seen.add(p)
 
     def place_sources(target: int, sources: list[_Entry]) -> None:
-        for point, subs in sources:
-            mention(point)
-            images[point - 1] = target
-            place_sources(point, subs)
+        # depth-first in written order, so errors name the first bad point
+        stack = [(target, iter(sources))]
+        while stack:
+            target, rest = stack[-1]
+            for point, subs in rest:
+                mention(point)
+                images[point - 1] = target
+                if subs:
+                    stack.append((point, iter(subs)))
+                    break
+            else:
+                stack.pop()
 
     for is_cycle, entries in components:
         targets = []
@@ -174,11 +190,14 @@ def print_linear(s: Transformation) -> str:
     for feeders in preds.values():
         feeders.sort()
 
-    def render(p: int) -> str:
-        srcs = preds.get(p)
-        if not srcs:
-            return str(p)
-        return "[" + ",".join(render(q) for q in srcs) + ";" + str(p) + "]"
+    # every tree rendered leaves first, without recursion
+    tree = list(on_cycle)
+    for q in tree:
+        tree.extend(preds.get(q, ()))
+    rendered: dict[int, str] = {}
+    for q in reversed(tree):
+        srcs = preds.get(q)
+        rendered[q] = f"[{','.join(rendered[r] for r in srcs)};{q}]" if srcs else str(q)
 
     def lowest_point(cycle: list[int]) -> int:
         lo = min(cycle)
@@ -204,7 +223,7 @@ def print_linear(s: Transformation) -> str:
             continue  # plain fixed point, omitted
         start = cycle.index(min(cycle))
         rotated = cycle[start:] + cycle[:start]
-        entries = [render(p) for p in rotated]
+        entries = [rendered[p] for p in rotated]
         text = entries[0] if len(rotated) == 1 else "(" + ",".join(entries) + ")"
         pieces.append((lowest_point(cycle), text))
 

@@ -11,11 +11,11 @@ products of straight minimal permutators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import StraytError, check_word, stateset
 from .cayley import CayleyGraph
-from .straightwords import SearchLimits, Word, _permutes_memo, _search
+from .straightwords import SearchLimits, Word, WordSearch, permuting, search
 
 
 class NotAPermutatorWord(StraytError):
@@ -31,54 +31,27 @@ class PermutatorSemigroup:
     restriction_group_order: int
 
 
-@dataclass(frozen=True)
-class MinimalStraightCode:
-    """The finite, prefix-free set of straight minimal permutator words."""
-
-    states: frozenset[int]
-    words: tuple[Word, ...]
-    truncated: bool = False
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: object) -> bool:
-        return tuple(word) in self.words
-
-
 def perm_semigroup(graph: CayleyGraph, states: Sequence[int]) -> PermutatorSemigroup:
     """Collect every element whose action maps the state set onto itself.
 
     Node 0 counts only when the identity is itself a generated element.
-    The restriction group order is the size of the closure under
-    composition of the permutations the members induce on the set; the
-    member set is already closed, so this equals the number of distinct
-    restrictions.
+    The members are closed under composition and restriction to the set
+    is a homomorphism, so the distinct restrictions of the members are
+    already closed: they form the restriction group, and its order is
+    their number.
     """
     members = stateset(states, graph.presentation.n)
-    node_permutes = _permutes_memo(graph, members)
-    first = 0 if graph.contains_identity else 1
-    indices = [node for node in range(first, graph.size) if node_permutes(node)]
-
     ordered = sorted(members)
-    position = {y: i for i, y in enumerate(ordered)}
-    elements = graph._elements
-    seeds = {tuple(position[elements[node][y - 1]] for y in ordered) for node in indices}
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in seeds:
-                r = tuple(q[i] for i in p)  # p first, then q
-                if r not in closed:
-                    closed.add(r)
-                    fresh.append(r)
-        frontier = fresh
-    return PermutatorSemigroup(members, frozenset(indices), len(closed))
+    images = graph.images
+    first = 0 if graph.contains_identity else 1
+    indices = []
+    restrictions = set()
+    for node in range(first, graph.size):
+        e = images(node)
+        if {e[y - 1] for y in members} == members:
+            indices.append(node)
+            restrictions.add(tuple(e[y - 1] for y in ordered))
+    return PermutatorSemigroup(members, frozenset(indices), len(restrictions))
 
 
 def is_minimal_permutator(graph: CayleyGraph, word: Sequence[int],
@@ -91,8 +64,7 @@ def is_minimal_permutator(graph: CayleyGraph, word: Sequence[int],
     forces v to), and conversely the first factor of any such product is a
     permuting proper prefix.
     """
-    members = stateset(states, graph.presentation.n)
-    node_permutes = _permutes_memo(graph, members)
+    node_permutes = permuting(graph, states)
     nodes = graph.trajectory(word)
     for node in nodes[1:-1]:
         if node_permutes(node):
@@ -101,23 +73,19 @@ def is_minimal_permutator(graph: CayleyGraph, word: Sequence[int],
 
 
 def minimal_straight_permutators(graph: CayleyGraph, states: Sequence[int],
-                                 limits: SearchLimits | None = None) -> MinimalStraightCode:
+                                 limits: SearchLimits | None = None) -> WordSearch:
     """Enumerate the straight words permuting the set with no permuting proper prefix.
 
     The search never extends a branch past a node that permutes the set,
     which is exactly the minimality cut, so without limits the enumeration
     is complete (and finite, by the straight-word length bound).
     """
-    members = stateset(states, graph.presentation.n)
-    node_permutes = _permutes_memo(graph, members)
-    found = _search(graph, 0, node_permutes, node_permutes, True, limits)
-    return MinimalStraightCode(members, found.words, found.truncated)
+    return search(graph, 0, permuting(graph, states), limits, minimal=True)
 
 
 def _require_permutator(graph: CayleyGraph, word: Sequence[int],
                         members: frozenset[int]) -> None:
-    end = graph.walk(word)
-    e = graph._elements[end]
+    e = graph.images(graph.walk(word))
     image = {e[y - 1] for y in members}
     if image == members:
         return
@@ -141,7 +109,7 @@ def factorize(graph: CayleyGraph, word: Sequence[int],
     members = stateset(states, graph.presentation.n)
     check_word(word, graph.num_letters)
     _require_permutator(graph, word, members)
-    node_permutes = _permutes_memo(graph, members)
+    node_permutes = permuting(graph, members)
     factors: list[Word] = []
     begin = 0
     node = 0
@@ -160,38 +128,28 @@ def factorize(graph: CayleyGraph, word: Sequence[int],
 def reduce_word(graph: CayleyGraph, word: Sequence[int]) -> Word:
     """Excise trajectory loops until the word is straight.
 
-    Each pass finds the earliest node that recurs, drops the letters
-    strictly after first entering it through the letter of its last
-    occurrence, and repeats. The realized transformation never changes and
-    the output is a subsequence of the input. A lone final return to node
-    0 is the allowed loop and is kept; when a word realizing the identity
-    also wanders through node 0 earlier, the cut runs to the last interior
+    One pass over the trajectory: from each kept position, jump to the
+    last occurrence of its node and keep the letter that leaves it. This
+    equals excising, again and again, the loop from the earliest recurring
+    node to its last occurrence, since each excision leaves a subsequence
+    of the trajectory. The realized transformation never changes and the
+    output is a subsequence of the input. A lone final return to node 0 is
+    the allowed loop and is kept; when a word realizing the identity also
+    wanders through node 0 earlier, the cut runs to the last interior
     occurrence so that the word never collapses to nothing.
     """
     check_word(word, graph.num_letters)
-    letters = list(word)
-    while True:
-        nodes = graph.trajectory(letters)
-        last = len(nodes) - 1
-        occurrences: dict[int, list[int]] = {}
-        for i, v in enumerate(nodes):
-            occurrences.setdefault(v, []).append(i)
-        cut = None
-        for i, v in enumerate(nodes):
-            occ = occurrences[v]
-            if occ[0] != i or len(occ) == 1:
-                continue
-            if v == 0 and i == 0 and occ[1:] == [last]:
-                continue  # allowed loop
-            j = occ[-1]
-            if v == 0 and i == 0 and j == last:
-                j = occ[-2]
-            cut = (i, j)
-            break
-        if cut is None:
-            return tuple(letters)
-        i, j = cut
-        del letters[i:j]
+    nodes = graph.trajectory(word)
+    end = len(word)
+    last = {node: i for i, node in enumerate(nodes)}
+    pos = last[0]
+    if pos == end:
+        pos = max(i for i in range(end) if nodes[i] == 0)
+    out: list[int] = []
+    while pos < end:
+        out.append(word[pos])
+        pos = last[nodes[pos + 1]]
+    return tuple(out)
 
 
 def retract(graph: CayleyGraph, word: Sequence[int],
@@ -213,26 +171,14 @@ def subgroup_closure(graph: CayleyGraph, seeds: Sequence[Sequence[int]]) -> froz
     """Close the realizations of the seed words under composition."""
     if not seeds:
         raise ValueError("at least one seed word is required")
-    seed_nodes = {graph.walk(w) for w in seeds}
-    elements = graph._elements
-    index = graph._index
-    n = graph.presentation.n
-    base = bytes(range(256))
-
-    def table(node: int) -> bytes:
-        tbl = bytearray(base)
-        tbl[1:n + 1] = elements[node]
-        return bytes(tbl)
-
-    seed_tables = [table(node) for node in sorted(seed_nodes)]
-    closed = set(seed_nodes)
-    frontier = list(seed_nodes)
+    by_node = {graph.walk(w): w for w in seeds}
+    closed = set(by_node)
+    frontier = list(by_node)
     while frontier:
         fresh = []
         for node in frontier:
-            src = elements[node]
-            for tbl in seed_tables:
-                product = index[src.translate(tbl)]
+            for w in by_node.values():
+                product = graph.walk(w, start=node)
                 if product not in closed:
                     closed.add(product)
                     fresh.append(product)

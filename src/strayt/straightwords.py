@@ -4,7 +4,8 @@ Words come out in length order with ties broken lexicographically by
 letter position, produced by iterative deepening over the Cayley graph. A
 step onto an already visited node is taken only when it closes a loop at
 the starting node as the word's final letter, which is exactly the
-straightness condition. The graph is read-only throughout.
+straightness condition. Every search is one call of `search` with its
+own emit test, and the graph is read-only throughout.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ class SearchLimits:
     max_length: int | None = None
     max_results: int | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_length", "max_results"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass(frozen=True)
 class WordSearch:
@@ -43,25 +50,32 @@ class WordSearch:
         return tuple(word) in self.words
 
 
-def _permutes_memo(graph: CayleyGraph, states: frozenset[int]) -> Callable[[int], bool]:
+def permuting(graph: CayleyGraph, states: Sequence[int]) -> Callable[[int], bool]:
     """Memoized per-node test of whether a node's map permutes the state set."""
-    elements = graph._elements
+    members = stateset(states, graph.presentation.n)
+    images = graph.images
     cache: dict[int, bool] = {}
 
     def node_permutes(node: int) -> bool:
         hit = cache.get(node)
         if hit is None:
-            e = elements[node]
-            hit = {e[y - 1] for y in states} == states
+            e = images(node)
+            hit = {e[y - 1] for y in members} == members
             cache[node] = hit
         return hit
 
     return node_permutes
 
 
-def _search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
-            halt: Callable[[int], bool] | None, allow_loop: bool,
-            limits: SearchLimits | None) -> WordSearch:
+def search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
+           limits: SearchLimits | None, minimal: bool = False) -> WordSearch:
+    """Words labeling straight paths from start to a node where emit holds.
+
+    A path returns to start only as its final step, and such a loop word
+    counts when emit(start) holds. With minimal, a path stops at its first
+    node after start where emit holds, so no emitted word has an emitting
+    proper prefix.
+    """
     # Iterative deepening: one lexicographic depth-first pass per exact
     # length, so the stream is globally ordered and truncation by
     # max_results keeps a correct prefix of it. No straight trajectory can
@@ -73,6 +87,7 @@ def _search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
     hard_bound = graph.size
     max_len = hard_bound if limits.max_length is None else min(limits.max_length, hard_bound)
     max_results = limits.max_results
+    loop = emit(start)
     out: list[Word] = []
 
     for length in range(1, max_len + 1):
@@ -92,7 +107,7 @@ def _search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
                     # emitted at their own length
                     if depth == length:
                         reached_depth = True
-                        if allow_loop and emit(start):
+                        if loop:
                             out.append(tuple(word) + (letter,))
                             if max_results is not None and len(out) >= max_results:
                                 return WordSearch(tuple(out), truncated=True)
@@ -106,7 +121,7 @@ def _search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
                         if max_results is not None and len(out) >= max_results:
                             return WordSearch(tuple(out), truncated=True)
                     continue
-                if halt is not None and halt(nxt):
+                if minimal and emit(nxt):
                     continue
                 visited.add(nxt)
                 path.append(nxt)
@@ -133,14 +148,9 @@ def all_straight_words(graph: CayleyGraph, target: int | None = None,
     Loop words, which realize the identity, are included when no target is
     given or the target is node 0.
     """
-    if target is not None and not 0 <= target < graph.size:
-        raise ValueError(f"target node {target} is outside 0..{graph.size - 1}")
     if target is None:
-        emit = lambda node: True
-    else:
-        emit = lambda node: node == target
-    allow_loop = target is None or target == 0
-    return _search(graph, 0, emit, None, allow_loop, limits)
+        return search(graph, 0, lambda node: True, limits)
+    return straight_paths(graph, 0, target, limits)
 
 
 def straight_paths(graph: CayleyGraph, start: int, goal: int,
@@ -154,12 +164,10 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     for name, node in (("start", start), ("goal", goal)):
         if not 0 <= node < graph.size:
             raise ValueError(f"{name} node {node} is outside 0..{graph.size - 1}")
-    return _search(graph, start, lambda node: node == goal, None, start == goal, limits)
+    return search(graph, start, lambda node: node == goal, limits)
 
 
 def straight_permutator_words(graph: CayleyGraph, states: Sequence[int],
                               limits: SearchLimits | None = None) -> WordSearch:
     """Straight words whose realization permutes the given state set."""
-    members = stateset(states, graph.presentation.n)
-    node_permutes = _permutes_memo(graph, members)
-    return _search(graph, 0, node_permutes, None, True, limits)
+    return search(graph, 0, permuting(graph, states), limits)

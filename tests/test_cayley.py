@@ -57,14 +57,25 @@ class TestEnumerate:
         ])
         g1 = enumerate_semigroup(p)
         g2 = enumerate_semigroup(p)
-        assert g1._elements == g2._elements
-        assert g1._edges == g2._edges
+        assert g1.size == g2.size
+        for i in range(g1.size):
+            assert g1.images(i) == g2.images(i)
+            assert all(g1.step(i, a) == g2.step(i, a) for a in range(g1.num_letters))
         assert all(g1.first_word(i) == g2.first_word(i) for i in range(1, g1.size))
 
-    def test_max_elements_cap(self, ex4):
+    def test_max_elements_cap(self, ex2, ex4):
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_semigroup(ex4.presentation, max_elements=5)
         assert enumerate_semigroup(ex4.presentation, max_elements=21).order == 21
+        # the identity, reached as a product of generators, counts as well
+        with pytest.raises(EnumerationLimitExceeded):
+            enumerate_semigroup(ex2.presentation, max_elements=2)
+        assert enumerate_semigroup(ex2.presentation, max_elements=3).order == 3
+
+    def test_images_are_the_node_maps(self, ex1, ex4):
+        for g in (ex1, ex4):
+            for node in range(g.size):
+                assert g.images(node) == bytes(g.element(node).images)
 
     def test_too_many_states_rejected(self):
         with pytest.raises(ValueError):

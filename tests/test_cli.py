@@ -118,6 +118,22 @@ class TestOrderCommand:
         code, out, err = run(capsys, "order", fixture_path("ex4_abc"))
         assert code == 5 and "cap" in err
 
+    def test_enumeration_cap_counts_the_identity(self, capsys, monkeypatch):
+        # ex2_cycle has order 3: a product of its generator is the identity
+        monkeypatch.setenv("STRAYT_MAX_ELEMENTS", "2")
+        code, out, err = run(capsys, "order", fixture_path("ex2_cycle"))
+        assert code == 5 and not out and "cap" in err
+
+    def test_deeply_nested_generator(self, capsys, tmp_path):
+        chain = "1"
+        for point in range(2, 1201):
+            chain = f"[{chain};{point}]"
+        f = tmp_path / "deep.tsg"
+        f.write_text(f"states 1200\nt = {chain}\n")
+        code, out, err = run(capsys, "order", f)
+        # the file parses; enumeration then rejects the state count
+        assert code == 2 and not out and err.startswith("error:") and "255" in err
+
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv("STRAYT_MAX_ELEMENTS", "lots")
         code, _, err = run(capsys, "order", fixture_path("ex4_abc"))
@@ -174,6 +190,12 @@ class TestStraightCommand:
                            "--all", "--max-len", "1")
         assert code == 0
         assert [line.split("\t")[0] for line in out] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("cap", [("--max-results", "0"), ("--max-results", "-1"),
+                                     ("--max-len", "0"), ("--max-len", "-2")])
+    def test_caps_below_one_rejected(self, capsys, cap):
+        code, out, err = run(capsys, "straight", fixture_path("ex4_abc"), "--all", *cap)
+        assert code == 2 and not out and err.startswith("error:")
 
 
 class TestPermCommand:

@@ -111,6 +111,17 @@ class TestRoundTrip:
             s = Transformation(tuple(rng.randint(1, n) for _ in range(n)))
             assert parse_linear(print_linear(s), n) == s
 
+    def test_deep_chain_round_trip(self):
+        # 1 -> 2 -> ... -> 2000, nested one bracket per point
+        n = 2000
+        chain = "1"
+        for point in range(2, n + 1):
+            chain = f"[{chain};{point}]"
+        s = parse_linear(chain, n)
+        assert s.images == tuple(range(2, n + 1)) + (n,)
+        assert print_linear(s) == chain
+        assert parse_linear(print_linear(s), n) == s
+
     @given(transformations(max_n=10), st.randoms())
     def test_component_permutation_invariance(self, s, rng):
         text = print_linear(s)

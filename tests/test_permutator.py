@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strayt import (NotAPermutatorWord, SearchLimits, compose, evaluate,
+from strayt import (NotAPermutatorWord, Presentation, SearchLimits,
+                    Transformation, compose, enumerate_semigroup, evaluate,
                     factorize, is_minimal_permutator,
                     minimal_straight_permutators, perm_semigroup, permutes,
-                    reduce_word, retract, subgroup_closure)
+                    reduce_word, restrict, retract, straight_paths,
+                    subgroup_closure)
 
 
 def word(graph, text):
@@ -16,6 +18,47 @@ def word(graph, text):
 def is_subsequence(sub, seq):
     it = iter(seq)
     return all(any(x == y for y in it) for x in sub)
+
+
+def reference_reduce(graph, word):
+    """Loop excision by repeated rescans: cut from the earliest recurring
+    node to its last occurrence (to its last interior one for node 0 when
+    the word returns there), until only the allowed final loop is left."""
+    letters = list(word)
+    while True:
+        nodes = graph.trajectory(letters)
+        last = len(nodes) - 1
+        occurrences = {}
+        for i, v in enumerate(nodes):
+            occurrences.setdefault(v, []).append(i)
+        cut = None
+        for i, v in enumerate(nodes):
+            occ = occurrences[v]
+            if occ[0] != i or len(occ) == 1:
+                continue
+            if v == 0 and i == 0 and occ[1:] == [last]:
+                continue  # allowed loop
+            j = occ[-1]
+            if v == 0 and i == 0 and j == last:
+                j = occ[-2]
+            cut = (i, j)
+            break
+        if cut is None:
+            return tuple(letters)
+        i, j = cut
+        del letters[i:j]
+
+
+def random_graphs(seed, count):
+    """Seeded random presentations on 2-5 states with 1-3 generators."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        gens = [(name, Transformation(rng.randint(1, n) for _ in range(n)))
+                for name in "abc"[:rng.randint(1, 3)]]
+        graphs.append(enumerate_semigroup(Presentation(n, gens)))
+    return graphs
 
 
 class TestPermSemigroup:
@@ -47,6 +90,25 @@ class TestPermSemigroup:
             for j in members:
                 product = compose(ex4.element(i), ex4.element(j))
                 assert ex4.element_index(product) in ps.element_indices
+
+    def test_group_order_is_closure_of_restrictions(self, ex1, ex2, ex3, ex4):
+        graphs = [ex1, ex2, ex3, ex4] + random_graphs(5, 12)
+        rng = random.Random(17)
+        for g in graphs:
+            n = g.presentation.n
+            for _ in range(4):
+                states = rng.sample(range(1, n + 1), rng.randint(1, n))
+                ps = perm_semigroup(g, states)
+                seeds = {tuple(sorted(restrict(g.element(node), states).items()))
+                         for node in ps.element_indices}
+                closed = set(seeds)
+                while True:
+                    fresh = {tuple((y, dict(q)[x]) for y, x in p)
+                             for p in closed for q in seeds} - closed
+                    if not fresh:
+                        break
+                    closed |= fresh
+                assert ps.restriction_group_order == len(closed)
 
     def test_matches_direct_filter(self, ex1, ex3, ex4):
         for g, states in ((ex1, {2, 4}), (ex3, {1}), (ex4, {1, 2})):
@@ -232,6 +294,29 @@ class TestReduceWord:
             assert ex4.walk(r) == ex4.walk(w)
             assert len(r) <= len(w)
             assert is_subsequence(r, w)
+
+
+    def test_matches_rescan_reference(self, ex1, ex2, ex3, ex4):
+        rng = random.Random(23)
+        for g in [ex1, ex2, ex3, ex4] + random_graphs(29, 12):
+            k = g.num_letters
+            for _ in range(150):
+                w = tuple(rng.randrange(k) for _ in range(rng.randint(1, 30)))
+                assert reduce_word(g, w) == reference_reduce(g, w)
+
+    def test_matches_rescan_reference_through_identity(self, ex2):
+        # concatenated loop words realize the identity and pass through
+        # node 0 inside the word; some get a random tail as well
+        graphs = [ex2] + [g for g in random_graphs(31, 40) if g.contains_identity]
+        assert len(graphs) > 5
+        rng = random.Random(37)
+        for g in graphs:
+            loops = straight_paths(g, 0, 0, SearchLimits(max_length=8)).words
+            for _ in range(60):
+                w = sum((rng.choice(loops) for _ in range(rng.randint(1, 4))), ())
+                if rng.random() < 0.3:
+                    w += tuple(rng.randrange(g.num_letters) for _ in range(rng.randint(1, 3)))
+                assert reduce_word(g, w) == reference_reduce(g, w)
 
 
 class TestRetract:

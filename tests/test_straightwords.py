@@ -102,6 +102,12 @@ class TestAllStraightWords:
         with pytest.raises(ValueError):
             all_straight_words(ex4, 99)
 
+    @pytest.mark.parametrize("caps", [{"max_length": 0}, {"max_results": 0},
+                                      {"max_length": -2}, {"max_results": -1}])
+    def test_caps_below_one_rejected(self, caps):
+        with pytest.raises(ValueError):
+            SearchLimits(**caps)
+
 
 class TestStraightPaths:
     def test_between_powers(self, ex1):

@@ -8,9 +8,10 @@ on the command line are generator names separated by whitespace or dots
 definition from the presentation's `.words` sidecar file.
 
 Exit codes: 0 success, 2 unparseable input, 3 target not in the semigroup,
-4 word does not permute the chosen set, 5 output or enumeration truncated
-by a limit. The environment variable STRAYT_MAX_ELEMENTS caps enumeration
-as a safety valve (unset means unlimited).
+4 word does not permute the chosen set, 5 a search dropped a word beyond
+--max-results or enumeration passed its cap. The environment variable
+STRAYT_MAX_ELEMENTS caps enumeration as a safety valve (unset means
+unlimited).
 """
 
 from __future__ import annotations

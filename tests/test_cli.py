@@ -185,6 +185,13 @@ class TestStraightCommand:
                              "--all", "--max-results", "3")
         assert code == 5 and len(out) == 3 and "truncated" in err
 
+    def test_results_equal_to_cap_not_truncated(self, capsys):
+        # a is the only straight word realizing a, so nothing is dropped
+        code, out, err = run(capsys, "straight", fixture_path("ex4_abc"),
+                             "--target", "a", "--max-results", "1")
+        assert code == 0 and [line.split("\t")[0] for line in out] == ["a"]
+        assert "truncated" not in err
+
     def test_max_len(self, capsys):
         code, out, _ = run(capsys, "straight", fixture_path("ex4_abc"),
                            "--all", "--max-len", "1")
@@ -215,6 +222,16 @@ class TestPermCommand:
                            "--set", "1,2", "--minimal")
         assert code == 0
         assert [line.split("\t")[0] for line in out] == ["c", "bac"]
+
+    def test_minimal_results_equal_to_cap_not_truncated(self, capsys):
+        code, out, err = run(capsys, "perm", fixture_path("ex4_abc"),
+                             "--set", "1,2", "--minimal", "--max-results", "2")
+        assert code == 0 and [line.split("\t")[0] for line in out] == ["c", "bac"]
+        assert "truncated" not in err
+        code, out, err = run(capsys, "perm", fixture_path("ex4_abc"),
+                             "--set", "1,2", "--minimal", "--max-results", "1")
+        assert code == 5 and [line.split("\t")[0] for line in out] == ["c"]
+        assert "truncated" in err
 
     def test_group_order(self, capsys):
         code, out, _ = run(capsys, "perm", fixture_path("ex4_abc"),

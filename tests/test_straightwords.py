@@ -1,11 +1,17 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from strayt import (SearchLimits, Transformation, all_straight_words,
-                    parse_linear, straight_paths, straight_permutator_words)
+from strayt import (Presentation, SearchLimits, Transformation, WordSearch,
+                    all_straight_words, enumerate_semigroup, evaluate,
+                    fixture_path, identity, load_presentation,
+                    minimal_straight_permutators, parse_linear, permuting,
+                    straight_paths, straight_permutator_words)
 
 from test_cayley import oracle_is_straight
+from test_permutator import random_graphs
 
 CONSTANT_WORDS = {
     "[1,3;2]": {"abca", "aca", "acbabca", "acbaca", "acbacbca", "acbca",
@@ -29,8 +35,117 @@ SINGLETON_WORDS = {
 }
 
 
+@pytest.fixture(scope="module")
+def deep():
+    """A 641-node semigroup whose straight paths are too many to walk."""
+    p = Presentation(5, [("a", Transformation((3, 2, 1, 1, 4))),
+                         ("b", Transformation((5, 3, 4, 2, 1)))])
+    graph = enumerate_semigroup(p)
+    assert graph.size == 641
+    return graph
+
+
 def words_of(graph, result):
     return {graph.presentation.format_word(w) for w in result}
+
+
+def reference_search(graph, start, emit, limits, minimal=False):
+    """Iterative deepening: one lexicographic depth-first pass per exact
+    length, stopping at the first length no path reaches. It looks for one
+    word beyond max_results, so truncated means a word was dropped."""
+    if limits is None:
+        limits = SearchLimits()
+    k = graph.num_letters
+    max_len = graph.size if limits.max_length is None else min(limits.max_length, graph.size)
+    max_results = limits.max_results
+    loop = emit(start)
+    out = []
+
+    def keep(word):
+        out.append(word)
+        return max_results is not None and len(out) > max_results
+
+    for length in range(1, max_len + 1):
+        reached_depth = False
+        word = []
+        path = [start]
+        visited = {start}
+        pending = [iter(range(k))]
+        while pending:
+            node = path[-1]
+            descended = False
+            for letter in pending[-1]:
+                nxt = graph.step(node, letter)
+                depth = len(word) + 1
+                if nxt == start:
+                    if depth == length:
+                        reached_depth = True
+                        if loop and keep(tuple(word) + (letter,)):
+                            return WordSearch(tuple(out[:-1]), truncated=True)
+                    continue
+                if nxt in visited:
+                    continue
+                if depth == length:
+                    reached_depth = True
+                    if emit(nxt) and keep(tuple(word) + (letter,)):
+                        return WordSearch(tuple(out[:-1]), truncated=True)
+                    continue
+                if minimal and emit(nxt):
+                    continue
+                visited.add(nxt)
+                path.append(nxt)
+                word.append(letter)
+                pending.append(iter(range(k)))
+                descended = True
+                break
+            if not descended:
+                pending.pop()
+                dropped = path.pop()
+                if dropped != start:
+                    visited.discard(dropped)
+                if word:
+                    word.pop()
+        if not reached_depth:
+            break
+    return WordSearch(tuple(out))
+
+
+def search_pairs(graph, rng):
+    """(search, reference) pairs over the same query, each taking limits:
+    the four searches from node 0 and straight paths from random starts."""
+    idempotents = [v for v in range(graph.size)
+                   if all(graph.images(v)[x - 1] == x for x in graph.images(v))]
+    states = set(graph.images(rng.choice(idempotents)))
+    members = permuting(graph, states)
+    target = rng.randrange(graph.size)
+    pairs = [
+        (lambda lim: all_straight_words(graph, None, lim),
+         lambda lim: reference_search(graph, 0, lambda v: True, lim)),
+        (lambda lim: all_straight_words(graph, target, lim),
+         lambda lim: reference_search(graph, 0, target.__eq__, lim)),
+        (lambda lim: straight_permutator_words(graph, states, lim),
+         lambda lim: reference_search(graph, 0, members, lim)),
+        (lambda lim: minimal_straight_permutators(graph, states, lim),
+         lambda lim: reference_search(graph, 0, members, lim, minimal=True)),
+    ]
+    for _ in range(3):
+        start, goal = rng.randrange(graph.size), rng.randrange(graph.size)
+        pairs.append((lambda lim, s=start, t=goal: straight_paths(graph, s, t, lim),
+                      lambda lim, s=start, t=goal: reference_search(graph, s, t.__eq__, lim)))
+    return pairs
+
+
+def stepped_prefixes(graph, max_length):
+    """Brute-force tree walk: the straight words shorter than max_length
+    that a search extends, namely the empty word and every straight word
+    not realizing the identity (a loop word ends where it closes)."""
+    p = graph.presentation
+    level, count = [()], 0
+    for _ in range(max_length):
+        count += len(level)
+        level = [w + (a,) for w in level for a in range(graph.num_letters)
+                 if oracle_is_straight(p, w + (a,)) and evaluate(p, w + (a,)) != identity(p.n)]
+    return count
 
 
 class TestAllStraightWords:
@@ -93,6 +208,15 @@ class TestAllStraightWords:
         assert cut.truncated
         assert cut.words == full[:10]
 
+    def test_max_results_equal_to_count_is_not_truncated(self, ex4):
+        # the only straight word realizing a is a itself
+        a = ex4.walk((0,))
+        result = all_straight_words(ex4, a, SearchLimits(max_results=1))
+        assert result.words == ((0,),) and not result.truncated
+        assert all_straight_words(ex4, a, SearchLimits(max_results=2)).words == ((0,),)
+        every = all_straight_words(ex4, limits=SearchLimits(max_results=72))
+        assert len(every) == 72 and not every.truncated
+
     def test_max_length_cap(self, ex4):
         short = all_straight_words(ex4, limits=SearchLimits(max_length=2))
         assert {len(w) for w in short} == {1, 2}
@@ -131,6 +255,23 @@ class TestStraightPaths:
     def test_loop_case_matches_identity_target(self, ex2):
         assert straight_paths(ex2, 0, 0).words == all_straight_words(ex2, 0).words
 
+    def test_unreachable_goal_returns_at_once(self, deep):
+        # node 1 is the non-injective generator and never leads back to the
+        # identity, while the straight paths from it are far too many to walk
+        t0 = time.perf_counter()
+        result = straight_paths(deep, 1, 0, SearchLimits(max_results=3))
+        assert time.perf_counter() - t0 < 0.5
+        assert result.words == () and not result.truncated
+
+    def test_capped_search_stops_at_the_shortest_words(self, deep):
+        # the first words to node 639 have 14-16 letters, far fewer than the
+        # straight paths a walk to the hard bound would cross first
+        t0 = time.perf_counter()
+        result = straight_paths(deep, 0, 639, SearchLimits(max_results=3))
+        assert time.perf_counter() - t0 < 1.0
+        assert [len(w) for w in result] == [14, 15, 16] and result.truncated
+        assert result.words[0] == deep.first_word(639)
+
 
 class TestStraightPermutatorWords:
     def test_abc_pair_set(self, ex4):
@@ -150,3 +291,50 @@ class TestStraightPermutatorWords:
         for w in straight_permutator_words(ex4, {1, 2}):
             assert ex4.is_straight(w)
             assert permutes(ex4.element(ex4.walk(w)), {1, 2})
+
+
+class TestMinimalStraightPermutators:
+    def test_max_results_equal_to_code_size_is_not_truncated(self, ex4):
+        code = minimal_straight_permutators(ex4, {1, 2}, SearchLimits(max_results=2))
+        assert words_of(ex4, code) == {"c", "bac"} and not code.truncated
+        cut = minimal_straight_permutators(ex4, {1, 2}, SearchLimits(max_results=1))
+        assert words_of(ex4, cut) == {"c"} and cut.truncated
+
+
+class TestSinglePass:
+    def test_matches_iterative_deepening_under_every_cap(self, ex1, ex2, ex3, ex4):
+        rng = random.Random(41)
+        # small presentations whose straight words are few enough to try
+        # every cap
+        graphs = [ex1, ex2, ex3, ex4] + [
+            g for g in random_graphs(43, 120)
+            if g.size <= 60 and len(reference_search(g, 0, lambda v: True, None)) <= 300]
+        for graph in graphs:
+            for run, reference in search_pairs(graph, rng):
+                full = reference(None)
+                assert (run(None).words, run(None).truncated) == (full.words, False)
+                for max_length in range(1, max(map(len, full), default=1) + 1):
+                    count = len(reference(SearchLimits(max_length=max_length)))
+                    for max_results in range(1, count + 2):
+                        limits = SearchLimits(max_length, max_results)
+                        got, want = run(limits), reference(limits)
+                        assert want.truncated == (max_results < count)
+                        assert (got.words, got.truncated) == (want.words, want.truncated), limits
+
+    @pytest.mark.parametrize("name", ["ex1_monogenic", "ex2_cycle", "ex3_constants", "ex4_abc"])
+    def test_each_straight_prefix_is_stepped_once(self, name):
+        # no length is walked twice: a search capped at L steps once per
+        # (straight prefix shorter than L, letter) pair
+        graph = enumerate_semigroup(load_presentation(fixture_path(name)))
+        step, calls = graph.step, 0
+
+        def counted(node, letter):
+            nonlocal calls
+            calls += 1
+            return step(node, letter)
+
+        graph.step = counted
+        for max_length in range(1, graph.size + 1):
+            calls = 0
+            all_straight_words(graph, limits=SearchLimits(max_length=max_length))
+            assert calls == graph.num_letters * stepped_prefixes(graph, max_length)

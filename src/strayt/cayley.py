@@ -27,14 +27,17 @@ class CayleyGraph:
     realizes it; `contains_identity` records whether one does. Nodes 1..
     are the generated elements in breadth-first discovery order, and every
     (node, letter) pair has an outgoing edge node -> node * generator.
-    Words over the presentation label paths from node 0.
+    Words over the presentation label paths from node 0. Alongside the
+    per-node maps, the images are kept node-major in one byte buffer, so
+    that a state's images over every node read as one strided slice.
     """
 
     def __init__(self, presentation: Presentation, elements: list[bytes],
-                 index: dict[bytes, int], edges: array, parent_node: array,
-                 parent_letter: array, contains_identity: bool):
+                 packed: bytearray, index: dict[bytes, int], edges: array,
+                 parent_node: array, parent_letter: array, contains_identity: bool):
         self.presentation = presentation
         self._elements = elements
+        self._packed = packed
         self._index = index
         self._edges = edges
         self._parent_node = parent_node
@@ -63,6 +66,13 @@ class CayleyGraph:
         """The node's map as the images of states 1..n."""
         return self._elements[node]
 
+    def column(self, state: int) -> bytes:
+        """Every node's image of the state, in node order."""
+        n = self.presentation.n
+        if not 1 <= state <= n:
+            raise ValueError(f"state {state} is outside 1..{n}")
+        return bytes(self._packed[state - 1::n])
+
     def element_index(self, s: Transformation) -> int:
         """Node of a transformation, or NotInSemigroup if it was never generated."""
         if s.n != self.presentation.n:
@@ -75,6 +85,11 @@ class CayleyGraph:
 
     def step(self, node: int, letter: int) -> int:
         return self._edges[node * self._k + letter]
+
+    def successors(self, node: int) -> array:
+        """The node's edge targets, one per letter in letter order."""
+        k = self._k
+        return self._edges[node * k:node * k + k]
 
     def walk(self, word: Sequence[int], start: int = 0) -> int:
         """End node of the path labeled by the word."""
@@ -146,24 +161,26 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
 
     ident = bytes(range(1, n + 1))
     elements = [ident]
+    packed = bytearray(ident)
     index = {ident: 0}
     parent_node = array("i", [-1])
     parent_letter = array("i", [-1])
     edges = array("i")
     edges_append = edges.append
     index_get = index.get
+    letter_tables = list(enumerate(tables))
     contains_identity = False
 
     node = 0
-    while node < len(elements):
-        src = elements[node]
-        for letter, tbl in enumerate(tables):
+    for src in elements:  # also visits the elements appended on the way
+        for letter, tbl in letter_tables:
             img = src.translate(tbl)
             nxt = index_get(img)
             if nxt is None:
                 nxt = len(elements)
                 index[img] = nxt
                 elements.append(img)
+                packed += img
                 parent_node.append(node)
                 parent_letter.append(letter)
             elif nxt == 0:
@@ -174,5 +191,5 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
                 f"enumeration exceeded the cap of {max_elements} elements")
         node += 1
 
-    return CayleyGraph(p, elements, index, edges, parent_node, parent_letter,
+    return CayleyGraph(p, elements, packed, index, edges, parent_node, parent_letter,
                        contains_identity)

@@ -87,7 +87,7 @@ def check_word(word: Sequence[int], num_letters: int) -> None:
 class Presentation:
     """A state count together with an ordered list of named generator maps."""
 
-    __slots__ = ("n", "generators", "_positions")
+    __slots__ = ("n", "generators", "_positions", "_single_char")
 
     def __init__(self, n: int, generators: Iterable[tuple[str, Transformation]]) -> None:
         if n < 1:
@@ -107,6 +107,7 @@ class Presentation:
         self.n = n
         self.generators = gens
         self._positions = positions
+        self._single_char = all(len(name) == 1 for name in positions)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -131,7 +132,7 @@ class Presentation:
         tokens = text.replace(".", " ").split()
         if not tokens:
             raise ValueError("empty word")
-        single = all(len(name) == 1 for name in self._positions)
+        single = self._single_char
         letters: list[int] = []
         for tok in tokens:
             if tok in self._positions:
@@ -150,7 +151,7 @@ class Presentation:
         """
         check_word(word, len(self.generators))
         names = [self.generators[letter][0] for letter in word]
-        if all(len(name) == 1 for name in self._positions):
+        if self._single_char:
             return "".join(names)
         return " ".join(names)
 

@@ -11,9 +11,11 @@ products of straight minimal permutators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from .core import StraytError, check_word, stateset
+from .core import StraytError, stateset
 from .cayley import CayleyGraph
 from .straightwords import SearchLimits, Word, WordSearch, permuting, search
 
@@ -41,17 +43,24 @@ def perm_semigroup(graph: CayleyGraph, states: Sequence[int]) -> PermutatorSemig
     their number.
     """
     members = stateset(states, graph.presentation.n)
-    ordered = sorted(members)
-    images = graph.images
+    mask = permuting(graph, members)
     first = 0 if graph.contains_identity else 1
-    indices = []
-    restrictions = set()
-    for node in range(first, graph.size):
-        e = images(node)
-        if {e[y - 1] for y in members} == members:
-            indices.append(node)
-            restrictions.add(tuple(e[y - 1] for y in ordered))
+    indices = list(compress(range(first, graph.size), mask[first:]))
+    restrict = itemgetter(*[y - 1 for y in sorted(members)])
+    restrictions = set(map(restrict, map(graph.images, indices)))
     return PermutatorSemigroup(members, frozenset(indices), len(restrictions))
+
+
+def _node_permutes(graph: CayleyGraph, members: frozenset[int]) -> Callable[[int], bool]:
+    """Test of one node's map against the set, for words too short to
+    pay for a mask over the whole graph."""
+    images = graph.images
+
+    def permutes(node: int) -> bool:
+        e = images(node)
+        return {e[y - 1] for y in members} == members
+
+    return permutes
 
 
 def is_minimal_permutator(graph: CayleyGraph, word: Sequence[int],
@@ -64,12 +73,10 @@ def is_minimal_permutator(graph: CayleyGraph, word: Sequence[int],
     forces v to), and conversely the first factor of any such product is a
     permuting proper prefix.
     """
-    node_permutes = permuting(graph, states)
+    members = stateset(states, graph.presentation.n)
     nodes = graph.trajectory(word)
-    for node in nodes[1:-1]:
-        if node_permutes(node):
-            return False
-    return node_permutes(nodes[-1])
+    permutes = _node_permutes(graph, members)
+    return permutes(nodes[-1]) and not any(map(permutes, nodes[1:-1]))
 
 
 def minimal_straight_permutators(graph: CayleyGraph, states: Sequence[int],
@@ -83,9 +90,7 @@ def minimal_straight_permutators(graph: CayleyGraph, states: Sequence[int],
     return search(graph, 0, permuting(graph, states), limits, minimal=True)
 
 
-def _require_permutator(graph: CayleyGraph, word: Sequence[int],
-                        members: frozenset[int]) -> None:
-    e = graph.images(graph.walk(word))
+def _require_permutator(e: bytes, members: frozenset[int]) -> None:
     image = {e[y - 1] for y in members}
     if image == members:
         return
@@ -105,24 +110,19 @@ def factorize(graph: CayleyGraph, word: Sequence[int],
     Every factor is a minimal permutator, the factors concatenate to the
     input, and no other split into minimal permutators exists. Words that
     do not permute the set raise NotAPermutatorWord.
+
+    Cuts are read off the word's own trajectory: when a prefix u permutes
+    the set, u followed by v maps the set onto v's image of it, so the
+    running prefix of each factor permutes exactly where the whole prefix
+    does.
     """
     members = stateset(states, graph.presentation.n)
-    check_word(word, graph.num_letters)
-    _require_permutator(graph, word, members)
-    node_permutes = permuting(graph, members)
-    factors: list[Word] = []
-    begin = 0
-    node = 0
-    for pos, letter in enumerate(word):
-        node = graph.step(node, letter)
-        if node_permutes(node):
-            factors.append(tuple(word[begin:pos + 1]))
-            begin = pos + 1
-            node = 0
-    # a permutator word always closes its final factor: after each cut the
-    # remainder permutes the set again, so at the latest the last letter cuts
-    assert begin == len(word)
-    return factors
+    nodes = graph.trajectory(word)
+    _require_permutator(graph.images(nodes[-1]), members)
+    hits = set(filter(_node_permutes(graph, members), set(nodes[1:])))
+    # the last node permutes (checked above), so the last cut ends the word
+    cuts =[end for end in range(1, len(nodes)) if nodes[end] in hits]
+    return [tuple(word[begin:end]) for begin, end in zip([0] + cuts, cuts)]
 
 
 def reduce_word(graph: CayleyGraph, word: Sequence[int]) -> Word:
@@ -138,7 +138,6 @@ def reduce_word(graph: CayleyGraph, word: Sequence[int]) -> Word:
     wanders through node 0 earlier, the cut runs to the last interior
     occurrence so that the word never collapses to nothing.
     """
-    check_word(word, graph.num_letters)
     nodes = graph.trajectory(word)
     end = len(word)
     last = {node: i for i, node in enumerate(nodes)}

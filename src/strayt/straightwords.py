@@ -8,19 +8,28 @@ without a result cap, while a capped search deepens one length at a time
 so that it stops at the shortest words. A step onto an already visited
 node is taken only when it closes a loop at the starting node as the
 word's final letter, which is exactly the straightness condition. Every
-search is one call of `search` with its own emit test, and the graph is
-read-only throughout.
+search is one call of `search` with its own emit mask: one byte per node,
+set where a word ending there is emitted. All words set every byte, a
+target sets one, and the permutators of a state set come from `permuting`,
+which builds the mask from the graph's state columns without a Python
+loop over nodes. The walk reads one successor row per node it enters and
+keeps its visited nodes in a byte mask too; the graph is read-only
+throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import stateset
 from .cayley import CayleyGraph
 
 Word = tuple[int, ...]
+
+# _ALL_SET[g] maps a byte to 1 exactly when its low g bits are all set
+_ALL_SET = [bytes(int(b & ((1 << g) - 1) == (1 << g) - 1) for b in range(256))
+            for g in range(9)]
 
 
 @dataclass(frozen=True)
@@ -54,31 +63,42 @@ class WordSearch:
         return tuple(word) in self.words
 
 
-def permuting(graph: CayleyGraph, states: Sequence[int]) -> Callable[[int], bool]:
-    """Memoized per-node test of whether a node's map permutes the state set."""
-    members = stateset(states, graph.presentation.n)
-    images = graph.images
-    cache: dict[int, bool] = {}
+def permuting(graph: CayleyGraph, states: Sequence[int]) -> bytes:
+    """Byte mask over nodes: 1 where the node's map permutes the state set.
 
-    def node_permutes(node: int) -> bool:
-        hit = cache.get(node)
-        if hit is None:
-            e = images(node)
-            hit = {e[y - 1] for y in members} == members
-            cache[node] = hit
-        return hit
+    The set is taken in groups of up to 8 states, each state of a group
+    standing for one bit. A node's images of the whole set, translated to
+    those bits and ORed together, cover every bit of every group exactly
+    when they cover the set; |set| images covering the set equal it. Each
+    group is one translate per state column, so no node is visited in
+    Python.
+    """
+    members = sorted(stateset(states, graph.presentation.n))
+    columns = [graph.column(y) for y in members]
+    size = graph.size
+    mask = -1
+    for first in range(0, len(members), 8):
+        group = members[first:first + 8]
+        bits = bytearray(256)
+        for bit, y in enumerate(group):
+            bits[y] = 1 << bit
+        covered = 0
+        for column in columns:
+            covered |= int.from_bytes(column.translate(bits), "big")
+        full = covered.to_bytes(size, "big").translate(_ALL_SET[len(group)])
+        mask &= int.from_bytes(full, "big")
+    return mask.to_bytes(size, "big")
 
-    return node_permutes
 
-
-def search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
+def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
            limits: SearchLimits | None, minimal: bool = False) -> WordSearch:
-    """Words labeling straight paths from start to a node where emit holds.
+    """Words labeling straight paths from start to a node set in the emit mask.
 
-    A path returns to start only as its final step, and such a loop word
-    counts when emit(start) holds. With minimal, a path stops at its first
-    node after start where emit holds, so no emitted word has an emitting
-    proper prefix. The result is truncated only when a word beyond
+    `emit` holds one byte per node, nonzero where a word ending there is
+    emitted. A path returns to start only as its final step, and such a
+    loop word counts when emit[start] is set. With minimal, a path stops
+    at its first node after start set in emit, so no emitted word has an
+    emitting proper prefix. The result is truncated only when a word beyond
     max_results exists within the length bound.
     """
     # Without max_results, one pass to the length bound finds every word.
@@ -103,7 +123,7 @@ def search(graph: CayleyGraph, start: int, emit: Callable[[int], bool],
     return WordSearch(tuple(found[:cap]), truncated=len(found) > cap)
 
 
-def _walk(graph: CayleyGraph, start: int, emit: Callable[[int], bool], minimal: bool,
+def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool,
           shortest: int, bound: int, room: int | None = None) -> tuple[list[Word], bool]:
     """One depth-first pass, in letter order, over the straight paths from
     start of at most bound edges.
@@ -112,31 +132,29 @@ def _walk(graph: CayleyGraph, start: int, emit: Callable[[int], bool], minimal: 
     order, and whether some path was cut at the bound. Each word goes into
     the bucket of its length, which depth-first order fills in letter
     order. A pass over one length (shortest == bound) stops once it holds
-    room words.
+    room words. Each node on the path reads its successor row once.
     """
-    k = graph.num_letters
-    step = graph.step
-    loop = emit(start)
+    successors = graph.successors
+    loop = emit[start]
     buckets: list[list[Word]] = [[], []]
     cut = False
 
     word: list[int] = []
     path = [start]
-    visited = {start}
-    pending = [iter(range(k))]
+    visited = bytearray(graph.size)
+    visited[start] = 1
+    pending = [iter(enumerate(successors(start)))]
     while pending:
-        node = path[-1]
         depth = len(path)  # length of a word ending with the next step
         bucket = buckets[depth]
         descended = False
-        for letter in pending[-1]:
-            nxt = step(node, letter)
+        for letter, nxt in pending[-1]:
             if nxt == start:
                 hit = loop
-            elif nxt in visited:
+            elif visited[nxt]:
                 continue
             else:
-                hit = emit(nxt)
+                hit = emit[nxt]
             if hit and depth >= shortest:
                 bucket.append(tuple(word) + (letter,))
                 if len(bucket) == room:
@@ -146,17 +164,17 @@ def _walk(graph: CayleyGraph, start: int, emit: Callable[[int], bool], minimal: 
             if depth == bound:
                 cut = True
                 continue
-            visited.add(nxt)
+            visited[nxt] = 1
             path.append(nxt)
             word.append(letter)
-            pending.append(iter(range(k)))
+            pending.append(iter(enumerate(successors(nxt))))
             if len(buckets) == depth + 1:
                 buckets.append([])
             descended = True
             break
         if not descended:
             pending.pop()
-            visited.discard(path.pop())
+            visited[path.pop()] = 0
             if word:
                 word.pop()
     return [w for bucket in buckets for w in bucket], cut
@@ -170,7 +188,7 @@ def all_straight_words(graph: CayleyGraph, target: int | None = None,
     given or the target is node 0.
     """
     if target is None:
-        return search(graph, 0, lambda node: True, limits)
+        return search(graph, 0, b"\x01" * graph.size, limits)
     return straight_paths(graph, 0, target, limits)
 
 
@@ -187,7 +205,9 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
             raise ValueError(f"{name} node {node} is outside 0..{graph.size - 1}")
     if not _reaches(graph, start, goal):
         return WordSearch(())
-    return search(graph, start, lambda node: node == goal, limits)
+    emit = bytearray(graph.size)
+    emit[goal] = 1
+    return search(graph, start, emit, limits)
 
 
 def _reaches(graph: CayleyGraph, start: int, goal: int) -> bool:
@@ -199,16 +219,16 @@ def _reaches(graph: CayleyGraph, start: int, goal: int) -> bool:
     """
     if start == 0:
         return goal != 0 or graph.contains_identity
-    step = graph.step
-    reached = {start}
+    successors = graph.successors
+    reached = bytearray(graph.size)
+    reached[start] = 1
     queue = [start]
     for node in queue:
-        for letter in range(graph.num_letters):
-            nxt = step(node, letter)
+        for nxt in successors(node):
             if nxt == goal:
                 return True
-            if nxt not in reached:
-                reached.add(nxt)
+            if not reached[nxt]:
+                reached[nxt] = 1
                 queue.append(nxt)
     return False
 

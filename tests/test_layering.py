@@ -13,7 +13,19 @@ import pytest
 import strayt
 
 PACKAGE = Path(strayt.__file__).parent
-GRAPH_PRIVATE = {"_elements", "_index", "_edges", "_parent_node", "_parent_letter"}
+
+
+def private_attributes(source: str) -> set[str]:
+    """Underscore names assigned on self anywhere in the source."""
+    return {target.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self" and target.attr.startswith("_")}
+
+
+GRAPH_PRIVATE = private_attributes((PACKAGE / "cayley.py").read_text())
 
 
 def violations(source: str, module: str) -> list[str]:
@@ -34,6 +46,10 @@ def violations(source: str, module: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_public_names_only(path):
     assert violations(path.read_text(), path.stem) == []
+
+
+def test_graph_storage_is_guarded():
+    assert {"_elements", "_packed", "_index", "_edges"} <= GRAPH_PRIVATE
 
 
 def test_checker_flags_reach_ins():

@@ -110,6 +110,10 @@ class TestPermSemigroup:
                     closed |= fresh
                 assert ps.restriction_group_order == len(closed)
 
+    def test_p53_three_states(self, p53):
+        ps = perm_semigroup(p53.graph, {3, 5, 8})
+        assert (len(ps.element_indices), ps.restriction_group_order) == (549, 6)
+
     def test_matches_direct_filter(self, ex1, ex3, ex4):
         for g, states in ((ex1, {2, 4}), (ex3, {1}), (ex4, {1, 2})):
             direct = {node for node in range(1, g.size)

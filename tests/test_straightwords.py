@@ -4,11 +4,12 @@ import time
 
 import pytest
 
-from strayt import (Presentation, SearchLimits, Transformation, WordSearch,
-                    all_straight_words, enumerate_semigroup, evaluate,
-                    fixture_path, identity, load_presentation,
-                    minimal_straight_permutators, parse_linear, permuting,
-                    straight_paths, straight_permutator_words)
+from strayt import (EnumerationLimitExceeded, Presentation, SearchLimits,
+                    Transformation, WordSearch, all_straight_words,
+                    enumerate_semigroup, evaluate, fixture_path, identity,
+                    load_presentation, minimal_straight_permutators,
+                    parse_linear, permutes, permuting, straight_paths,
+                    straight_permutator_words)
 
 from test_cayley import oracle_is_straight
 from test_permutator import random_graphs
@@ -116,7 +117,7 @@ def search_pairs(graph, rng):
     idempotents = [v for v in range(graph.size)
                    if all(graph.images(v)[x - 1] == x for x in graph.images(v))]
     states = set(graph.images(rng.choice(idempotents)))
-    members = permuting(graph, states)
+    members = permuting(graph, states).__getitem__
     target = rng.randrange(graph.size)
     pairs = [
         (lambda lim: all_straight_words(graph, None, lim),
@@ -301,6 +302,72 @@ class TestMinimalStraightPermutators:
         assert words_of(ex4, cut) == {"c"} and cut.truncated
 
 
+def mixed_graphs(seed, count):
+    """Seeded random presentations on 1-20 states with 1-3 generators, each
+    a random map or a product of disjoint 2- and 3-cycles, kept when they
+    have at most 400 elements."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(1, 20)
+        gens = []
+        for name in "abc"[:rng.randint(1, 3)]:
+            if rng.random() < 0.5:
+                images = list(range(1, n + 1))
+                order = rng.sample(range(1, n + 1), n)
+                while len(order) >= 2:
+                    cycle = [order.pop() for _ in range(min(len(order), rng.choice((2, 3))))]
+                    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                        images[x - 1] = y
+            else:
+                images = [rng.randint(1, n) for _ in range(n)]
+            gens.append((name, Transformation(images)))
+        try:
+            graphs.append(enumerate_semigroup(Presentation(n, gens), max_elements=400))
+        except EnumerationLimitExceeded:
+            pass
+    return graphs
+
+
+class TestPermutingMask:
+    @staticmethod
+    def direct(graph, states):
+        return bytes(int(permutes(graph.element(v), states)) for v in range(graph.size))
+
+    def test_fixtures(self, ex1, ex2, ex3, ex4):
+        for graph in (ex1, ex2, ex3, ex4):
+            n = graph.presentation.n
+            for size in range(1, n + 1):
+                for states in itertools.combinations(range(1, n + 1), size):
+                    assert permuting(graph, states) == self.direct(graph, states), states
+
+    def test_random_presentations_every_set_size(self):
+        # sets of more than 8 states take several bit groups
+        rng = random.Random(29)
+        grouped = 0
+        for graph in mixed_graphs(31, 80):
+            n = graph.presentation.n
+            sets = [rng.sample(range(1, n + 1), size) for size in range(1, n + 1)]
+            sets += [set(graph.images(rng.randrange(graph.size))) for _ in range(4)]
+            for states in sets:
+                want = self.direct(graph, states)
+                assert permuting(graph, states) == want, (graph.presentation.generators, states)
+                if len(set(states)) > 8:
+                    grouped += sum(want[1:])
+        assert grouped > 0
+
+    def test_255_state_cycle(self):
+        cycle = Transformation(list(range(2, 256)) + [1])
+        graph = enumerate_semigroup(Presentation(255, [("a", cycle)]))
+        assert graph.size == 255
+        assert permuting(graph, range(1, 256)) == b"\x01" * 255
+        # a rotation keeps the multiples of 3 exactly when it shifts by one
+        thirds = permuting(graph, range(3, 256, 3))
+        assert thirds == self.direct(graph, range(3, 256, 3)) and sum(thirds) == 85
+        for states in (range(1, 255), range(2, 256, 2), [1, 255]):
+            assert permuting(graph, states) == self.direct(graph, states)
+
+
 class TestSinglePass:
     def test_matches_iterative_deepening_under_every_cap(self, ex1, ex2, ex3, ex4):
         rng = random.Random(41)
@@ -323,18 +390,18 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("name", ["ex1_monogenic", "ex2_cycle", "ex3_constants", "ex4_abc"])
     def test_each_straight_prefix_is_stepped_once(self, name):
-        # no length is walked twice: a search capped at L steps once per
-        # (straight prefix shorter than L, letter) pair
+        # no length is walked twice: a search capped at L reads the
+        # successor row of each straight prefix shorter than L exactly once
         graph = enumerate_semigroup(load_presentation(fixture_path(name)))
-        step, calls = graph.step, 0
+        successors, calls = graph.successors, 0
 
-        def counted(node, letter):
+        def counted(node):
             nonlocal calls
             calls += 1
-            return step(node, letter)
+            return successors(node)
 
-        graph.step = counted
+        graph.successors = counted
         for max_length in range(1, graph.size + 1):
             calls = 0
             all_straight_words(graph, limits=SearchLimits(max_length=max_length))
-            assert calls == graph.num_letters * stepped_prefixes(graph, max_length)
+            assert calls == stepped_prefixes(graph, max_length)

@@ -27,18 +27,16 @@ class CayleyGraph:
     realizes it; `contains_identity` records whether one does. Nodes 1..
     are the generated elements in breadth-first discovery order, and every
     (node, letter) pair has an outgoing edge node -> node * generator.
-    Words over the presentation label paths from node 0. Alongside the
-    per-node maps, the images are kept node-major in one byte buffer, so
-    that a state's images over every node read as one strided slice.
+    Words over the presentation label paths from node 0. The maps are kept
+    node-major in one byte buffer, n bytes per node, so that a node's
+    images read as one slice and a state's images over every node as one
+    strided slice; no per-node object or lookup table outlives enumeration.
     """
 
-    def __init__(self, presentation: Presentation, elements: list[bytes],
-                 packed: bytearray, index: dict[bytes, int], edges: array,
+    def __init__(self, presentation: Presentation, packed: bytes, edges: array,
                  parent_node: array, parent_letter: array, contains_identity: bool):
         self.presentation = presentation
-        self._elements = elements
         self._packed = packed
-        self._index = index
         self._edges = edges
         self._parent_node = parent_node
         self._parent_letter = parent_letter
@@ -52,36 +50,49 @@ class CayleyGraph:
     @property
     def size(self) -> int:
         """Number of nodes: the generated elements plus the identity node."""
-        return len(self._elements)
+        return len(self._packed) // self.presentation.n
 
     @property
     def order(self) -> int:
         """Number of elements realized by nonempty words."""
-        return len(self._elements) - 1 + (1 if self.contains_identity else 0)
+        return self.size - 1 + (1 if self.contains_identity else 0)
 
     def element(self, node: int) -> Transformation:
-        return Transformation(self._elements[node])
+        return Transformation(self.images(node))
 
     def images(self, node: int) -> bytes:
         """The node's map as the images of states 1..n."""
-        return self._elements[node]
+        n = self.presentation.n
+        row = self._packed[node * n:node * n + n]
+        if node < 0 or not row:
+            raise ValueError(f"node {node} is outside 0..{self.size - 1}")
+        return row
 
     def column(self, state: int) -> bytes:
         """Every node's image of the state, in node order."""
         n = self.presentation.n
         if not 1 <= state <= n:
             raise ValueError(f"state {state} is outside 1..{n}")
-        return bytes(self._packed[state - 1::n])
+        return self._packed[state - 1::n]
 
     def element_index(self, s: Transformation) -> int:
-        """Node of a transformation, or NotInSemigroup if it was never generated."""
-        if s.n != self.presentation.n:
+        """Node of a transformation, or NotInSemigroup if it was never generated.
+
+        A linear scan of the packed maps: a match that straddles two nodes
+        is skipped, and the scan resumes at the next node boundary.
+        """
+        n = self.presentation.n
+        if s.n != n:
             raise NotInSemigroup(
-                f"map on {s.n} states cannot lie in a semigroup on {self.presentation.n} states")
-        node = self._index.get(bytes(s.images))
-        if node is None:
+                f"map on {s.n} states cannot lie in a semigroup on {n} states")
+        key = bytes(s.images)
+        packed = self._packed
+        at = packed.find(key)
+        while at >= 0 and at % n:
+            at = packed.find(key, at - at % n + n)
+        if at < 0:
             raise NotInSemigroup(f"{s!r} is not generated by the presentation")
-        return node
+        return at // n
 
     def step(self, node: int, letter: int) -> int:
         return self._edges[node * self._k + letter]
@@ -130,7 +141,7 @@ class CayleyGraph:
         First words are shortest, with ties broken by generator position,
         and are always straight.
         """
-        if not 1 <= node < len(self._elements):
+        if not 1 <= node < self.size:
             raise ValueError(f"node {node} has no defining word")
         letters = []
         while node != 0:
@@ -147,7 +158,8 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     words. `max_elements` caps the order (the identity counts once a
     product of generators equals it), raising EnumerationLimitExceeded
     beyond it. State counts above 255 are not supported (images are
-    packed into bytes).
+    packed into bytes). The index of every map found and the current and
+    next breadth-first levels exist only while the closure runs.
     """
     n = p.n
     if n > 255:
@@ -160,7 +172,6 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
         tables.append(bytes(tbl))
 
     ident = bytes(range(1, n + 1))
-    elements = [ident]
     packed = bytearray(ident)
     index = {ident: 0}
     parent_node = array("i", [-1])
@@ -172,24 +183,30 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     contains_identity = False
 
     node = 0
-    for src in elements:  # also visits the elements appended on the way
-        for letter, tbl in letter_tables:
-            img = src.translate(tbl)
-            nxt = index_get(img)
-            if nxt is None:
-                nxt = len(elements)
-                index[img] = nxt
-                elements.append(img)
-                packed += img
-                parent_node.append(node)
-                parent_letter.append(letter)
-            elif nxt == 0:
-                contains_identity = True
-            edges_append(nxt)
-        if max_elements is not None and len(elements) - 1 + contains_identity > max_elements:
-            raise EnumerationLimitExceeded(
-                f"enumeration exceeded the cap of {max_elements} elements")
-        node += 1
+    level = [ident]
+    while level:  # one breadth-first level at a time, in discovery order
+        fresh = []
+        for src in level:
+            for letter, tbl in letter_tables:
+                img = src.translate(tbl)
+                nxt = index_get(img)
+                if nxt is None:
+                    nxt = len(index)
+                    index[img] = nxt
+                    fresh.append(img)
+                    packed += img
+                    parent_node.append(node)
+                    parent_letter.append(letter)
+                elif nxt == 0:
+                    contains_identity = True
+                edges_append(nxt)
+            if max_elements is not None and len(index) - 1 + contains_identity > max_elements:
+                raise EnumerationLimitExceeded(
+                    f"enumeration exceeded the cap of {max_elements} elements")
+            node += 1
+        level = fresh
 
-    return CayleyGraph(p, elements, packed, index, edges, parent_node, parent_letter,
-                       contains_identity)
+    # the maps and their index serve only the closure; they go before the
+    # buffer is copied, so the copy never adds to the peak
+    del index, index_get, src, img
+    return CayleyGraph(p, bytes(packed), edges, parent_node, parent_letter, contains_identity)

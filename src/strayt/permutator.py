@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import StraytError, stateset
@@ -46,8 +45,8 @@ def perm_semigroup(graph: CayleyGraph, states: Sequence[int]) -> PermutatorSemig
     mask = permuting(graph, members)
     first = 0 if graph.contains_identity else 1
     indices = list(compress(range(first, graph.size), mask[first:]))
-    restrict = itemgetter(*[y - 1 for y in sorted(members)])
-    restrictions = set(map(restrict, map(graph.images, indices)))
+    # each member's restriction, read across the state columns
+    restrictions = set(zip(*[map(graph.column(y).__getitem__, indices) for y in sorted(members)]))
     return PermutatorSemigroup(members, frozenset(indices), len(restrictions))
 
 

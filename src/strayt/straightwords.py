@@ -5,21 +5,24 @@ letter position. A depth-first pass over the Cayley graph, in letter
 order, drops each word into the bucket of its length, and the buckets
 joined give that order: one pass to the length bound answers a search
 without a result cap, while a capped search deepens one length at a time
-so that it stops at the shortest words. A step onto an already visited
-node is taken only when it closes a loop at the starting node as the
-word's final letter, which is exactly the straightness condition. Every
-search is one call of `search` with its own emit mask: one byte per node,
-set where a word ending there is emitted. All words set every byte, a
-target sets one, and the permutators of a state set come from `permuting`,
-which builds the mask from the graph's state columns without a Python
-loop over nodes. The walk reads one successor row per node it enters and
-keeps its visited nodes in a byte mask too; the graph is read-only
-throughout.
+so that it stops at the shortest words, entering only nodes from which
+an emitting node still lies within the length left. A step onto an
+already visited node is taken only when it closes a loop at the starting
+node as the word's final letter, which is exactly the straightness
+condition. Every search is one call of `search` with its own emit mask:
+one byte per node, set where a word ending there is emitted. All words
+set every byte, a target sets one, and the permutators of a state set
+come from `permuting`, which builds the mask from the graph's state
+columns without a Python loop over nodes. The walk reads one successor
+row per node it enters and keeps its visited nodes in a byte mask too;
+the graph is read-only throughout.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .core import stateset
@@ -30,6 +33,10 @@ Word = tuple[int, ...]
 # _ALL_SET[g] maps a byte to 1 exactly when its low g bits are all set
 _ALL_SET = [bytes(int(b & ((1 << g) - 1) == (1 << g) - 1) for b in range(256))
             for g in range(9)]
+# translate tables: _NONZERO maps every nonzero byte to 1, _ZERO maps 0 to 1
+# and every other byte to 0
+_NONZERO = bytes([0] + [1] * 255)
+_ZERO = bytes([1] + [0] * 255)
 
 
 @dataclass(frozen=True)
@@ -105,26 +112,68 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     # With it, the bound deepens one length at a time and each pass keeps
     # only the words of its own length, up to the first word beyond the
     # cap: a short answer must not wait for a walk through every long
-    # path, and the extra word proves the truncation. No straight
-    # trajectory can use more edges than there are nodes, which is the
-    # hard bound.
+    # path, and the extra word proves the truncation. Deepening stops once
+    # a pass cuts no path that could still reach an emitting node, so the
+    # passes walk only the nodes that can. No straight trajectory can use
+    # more edges than there are nodes, which is the hard bound.
     if limits is None:
         limits = SearchLimits()
     max_len = graph.size if limits.max_length is None else min(limits.max_length, graph.size)
     cap = limits.max_results
     if cap is None:
         return WordSearch(tuple(_walk(graph, start, emit, minimal, 1, max_len)[0]))
+    reach = _reach(graph, emit, max_len)
     found: list[Word] = []
     for length in range(1, max_len + 1):
-        words, cut = _walk(graph, start, emit, minimal, length, length, cap + 1 - len(found))
+        words, cut = _walk(graph, start, emit, minimal, length, length,
+                           cap + 1 - len(found), reach)
         found += words
         if len(found) > cap or not cut:
             break
     return WordSearch(tuple(found[:cap]), truncated=len(found) > cap)
 
 
+def _reach(graph: CayleyGraph, emit: bytes | bytearray, bound: int) -> bytes:
+    """Byte mask over nodes: 1 + the fewest edges from the node to a node
+    set in emit, or 0 when none lies within bound - 1 edges.
+
+    One breadth-first pass over the reversed edges, which are kept as
+    linked lists in two flat arrays: first[w] is the last edge into w and
+    after[e] the edge into the same node before e, -1 ending a list; edge
+    e leaves node e // k. Distances above 254 read as 255, a lower bound
+    that never reads as unreachable.
+    """
+    size, k = graph.size, graph.num_letters
+    successors = graph.successors
+    first = array("i", [-1]) * size
+    after = array("i", [-1]) * (size * k)
+    e = 0
+    for node in range(size):
+        for nxt in successors(node):
+            after[e] = first[nxt]
+            first[nxt] = e
+            e += 1
+    reach = bytearray(emit.translate(_NONZERO))
+    frontier = list(compress(range(size), reach))
+    far = 1
+    while frontier and far < bound:
+        far += 1
+        fresh = []
+        for nxt in frontier:
+            e = first[nxt]
+            while e >= 0:
+                node = e // k
+                if not reach[node]:
+                    reach[node] = min(far, 255)
+                    fresh.append(node)
+                e = after[e]
+        frontier = fresh
+    return bytes(reach)
+
+
 def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool,
-          shortest: int, bound: int, room: int | None = None) -> tuple[list[Word], bool]:
+          shortest: int, bound: int, room: int | None = None,
+          reach: bytes | None = None) -> tuple[list[Word], bool]:
     """One depth-first pass, in letter order, over the straight paths from
     start of at most bound edges.
 
@@ -132,7 +181,10 @@ def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool
     order, and whether some path was cut at the bound. Each word goes into
     the bucket of its length, which depth-first order fills in letter
     order. A pass over one length (shortest == bound) stops once it holds
-    room words. Each node on the path reads its successor row once.
+    room words. Each node on the path reads its successor row once. With
+    a reach mask (see `_reach`) the pass never enters a node that cannot
+    reach an emitting node, and it cuts a path at a node whose nearest
+    emitting node lies beyond the bound.
     """
     successors = graph.successors
     loop = emit[start]
@@ -141,7 +193,8 @@ def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool
 
     word: list[int] = []
     path = [start]
-    visited = bytearray(graph.size)
+    # unreachable nodes count as visited from the start, so no step enters one
+    visited = bytearray(graph.size) if reach is None else bytearray(reach.translate(_ZERO))
     visited[start] = 1
     pending = [iter(enumerate(successors(start)))]
     while pending:
@@ -161,7 +214,7 @@ def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool
                     return bucket, True
             if nxt == start or (minimal and hit):
                 continue
-            if depth == bound:
+            if depth == bound or (reach and depth + reach[nxt] > bound + 1):
                 cut = True
                 continue
             visited[nxt] = 1

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,12 @@ def oracle_prefix_maps(p, word):
     for letter in word:
         maps.append(compose(maps[-1], p.generators[letter][1]))
     return maps
+
+
+def deep_presentation():
+    """Two maps on 5 states generating 641 elements, the identity among them."""
+    return Presentation(5, [("a", Transformation((3, 2, 1, 1, 4))),
+                            ("b", Transformation((5, 3, 4, 2, 1)))])
 
 
 def oracle_is_straight(p, word):
@@ -77,6 +85,25 @@ class TestEnumerate:
             for node in range(g.size):
                 assert g.images(node) == bytes(g.element(node).images)
 
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_images_outside_the_nodes_raise(self, ex1, node):
+        with pytest.raises(ValueError):
+            ex1.images(node)
+
+    def test_retains_flat_storage_only(self):
+        # n bytes of images, k edges and two parent entries of 4 bytes each
+        p = deep_presentation()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = enumerate_semigroup(p)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert graph.size == 641
+        assert held <= (p.n + 4 * graph.num_letters + 8) * graph.size + 4096
+
     def test_too_many_states_rejected(self):
         with pytest.raises(ValueError):
             enumerate_semigroup(Presentation(256, [("e", identity(256))]))
@@ -97,6 +124,23 @@ class TestElementIndex:
     def test_wrong_state_count(self, ex1):
         with pytest.raises(NotInSemigroup):
             ex1.element_index(identity(3))
+
+    def test_every_node_round_trips(self, ex1, ex2, ex3, ex4):
+        for g in (ex1, ex2, ex3, ex4):
+            for node in range(g.size):
+                assert g.element_index(g.element(node)) == node
+
+    def test_straddling_matches_are_skipped(self):
+        # node maps 12, 22, 11: "22" first occurs across nodes 0 and 1,
+        # and "21" only across nodes 1 and 2
+        g = enumerate_semigroup(Presentation(2, [("a", Transformation((2, 2))),
+                                                 ("b", Transformation((1, 1)))]))
+        packed = b"".join(map(g.images, range(g.size)))
+        assert packed == bytes((1, 2, 2, 2, 1, 1))
+        assert packed.find(b"\x02\x02") == 1 and packed.find(b"\x02\x01") == 3
+        assert g.element_index(Transformation((2, 2))) == 1
+        with pytest.raises(NotInSemigroup):
+            g.element_index(Transformation((2, 1)))
 
 
 class TestTrajectory:

@@ -49,14 +49,14 @@ def test_module_uses_public_names_only(path):
 
 
 def test_graph_storage_is_guarded():
-    assert {"_elements", "_packed", "_index", "_edges"} <= GRAPH_PRIVATE
+    assert {"_packed", "_edges", "_parent_node", "_parent_letter"} <= GRAPH_PRIVATE
 
 
 def test_checker_flags_reach_ins():
     source = ("from .straightwords import _search, search\n"
               "from strayt.cayley import _helper\n"
               "def f(graph):\n"
-              "    return graph._elements[0], graph._index\n")
+              "    return graph._packed[0], graph._edges\n")
     assert len(violations(source, "permutator")) == 4
     assert len(violations(source, "cayley")) == 2
     assert violations("from typing import _T\nimport os\n", "cli") == []

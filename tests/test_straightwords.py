@@ -11,7 +11,7 @@ from strayt import (EnumerationLimitExceeded, Presentation, SearchLimits,
                     parse_linear, permutes, permuting, straight_paths,
                     straight_permutator_words)
 
-from test_cayley import oracle_is_straight
+from test_cayley import deep_presentation, oracle_is_straight
 from test_permutator import random_graphs
 
 CONSTANT_WORDS = {
@@ -39,9 +39,7 @@ SINGLETON_WORDS = {
 @pytest.fixture(scope="module")
 def deep():
     """A 641-node semigroup whose straight paths are too many to walk."""
-    p = Presentation(5, [("a", Transformation((3, 2, 1, 1, 4))),
-                         ("b", Transformation((5, 3, 4, 2, 1)))])
-    graph = enumerate_semigroup(p)
+    graph = enumerate_semigroup(deep_presentation())
     assert graph.size == 641
     return graph
 
@@ -272,6 +270,22 @@ class TestStraightPaths:
         assert time.perf_counter() - t0 < 1.0
         assert [len(w) for w in result] == [14, 15, 16] and result.truncated
         assert result.words[0] == deep.first_word(639)
+
+    def test_exactly_max_results_words_finish_at_once(self, deep):
+        # one word reaches node 5; proving there is no second one must not
+        # walk the straight paths that can never reach it
+        t0 = time.perf_counter()
+        result = straight_paths(deep, 0, 5, SearchLimits(max_results=1))
+        assert time.perf_counter() - t0 < 1.0
+        assert words_of(deep, result) == {"ba"} and not result.truncated
+
+    def test_distances_beyond_254_stay_reachable(self):
+        # one loop word, of 272 letters: a cycle of 16 states and one of 17
+        cycles = list(range(2, 17)) + [1] + list(range(18, 34)) + [17]
+        graph = enumerate_semigroup(Presentation(33, [("a", Transformation(cycles))]))
+        assert graph.size == 272
+        result = straight_paths(graph, 0, 0, SearchLimits(max_results=1))
+        assert result.words == ((0,) * 272,) and not result.truncated
 
 
 class TestStraightPermutatorWords:

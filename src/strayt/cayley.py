@@ -12,6 +12,9 @@ from typing import Sequence
 from .core import Presentation, StraytError, Transformation, check_word
 
 
+MAX_STATES = 255  # images are packed one byte per state
+
+
 class NotInSemigroup(StraytError):
     """The transformation is not generated by the presentation."""
 
@@ -76,8 +79,9 @@ class CayleyGraph:
         return self._packed[state - 1::n]
 
     def element_index(self, s: Transformation) -> int:
-        """Node of a transformation, or NotInSemigroup if it was never generated.
+        """Node of a transformation, or NotInSemigroup if no node holds it.
 
+        The identity map finds node 0 even when `contains_identity` is false.
         A linear scan of the packed maps: a match that straddles two nodes
         is skipped, and the scan resumes at the next node boundary.
         """
@@ -162,8 +166,10 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     next breadth-first levels exist only while the closure runs.
     """
     n = p.n
-    if n > 255:
-        raise ValueError("enumeration supports at most 255 states")
+    if n > MAX_STATES:
+        raise ValueError(f"enumeration supports at most {MAX_STATES} states")
+    if max_elements is not None and max_elements < 1:
+        raise ValueError(f"max_elements must be at least 1, got {max_elements}")
     base = bytes(range(256))
     tables = []
     for _, t in p.generators:

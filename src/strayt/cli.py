@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .core import Presentation, StraytError
 from .notation import NotationError, parse_images, parse_linear, print_linear
-from .cayley import (CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
+from .cayley import (MAX_STATES, CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
                      enumerate_semigroup)
 from .straightwords import SearchLimits, all_straight_words, straight_permutator_words
 from .permutator import (NotAPermutatorWord, factorize, minimal_straight_permutators,
@@ -80,6 +80,8 @@ def load_presentation(path) -> Presentation:
             n = int(parts[1])
             if n < 1:
                 raise PresentationFileError(path, line_no, "state count must be at least 1")
+            if n > MAX_STATES:  # rejected before any generator allocates n images
+                raise PresentationFileError(path, line_no, f"state count must be at most {MAX_STATES}")
             continue
         name, sep, value = line.partition("=")
         name = name.strip()
@@ -146,10 +148,15 @@ def _resolve_target(graph: CayleyGraph, text: str, aliases: dict[str, str]) -> i
     """Turn a target argument (word, linear form, or image list) into a node."""
     text = text.strip()
     if text.startswith("images:"):
-        return graph.element_index(parse_images(text[len("images:"):]))
-    if not text or text[0].isdigit() or text[0] in "[(":
-        return graph.element_index(parse_linear(text, graph.presentation.n))
-    return graph.walk(parse_cli_word(graph.presentation, text, aliases))
+        s = parse_images(text[len("images:"):])
+    elif not text or text[0].isdigit() or text[0] in "[(":
+        s = parse_linear(text, graph.presentation.n)
+    else:
+        return graph.walk(parse_cli_word(graph.presentation, text, aliases))
+    node = graph.element_index(s)
+    if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
+        raise NotInSemigroup(f"{s!r} is not generated by the presentation")
+    return node
 
 
 def _load_graph(path) -> CayleyGraph:

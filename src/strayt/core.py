@@ -113,16 +113,6 @@ class Presentation:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    def transformation(self, letter: int) -> Transformation:
-        return self.generators[letter][1]
-
-    def letter(self, name: str) -> int:
-        """Position of a generator name in the generator list."""
-        try:
-            return self._positions[name]
-        except KeyError:
-            raise ValueError(f"unknown generator name {name!r}") from None
-
     def word(self, text: str) -> tuple[int, ...]:
         """Parse a word written as generator names separated by spaces or dots.
 

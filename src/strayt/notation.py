@@ -15,8 +15,8 @@ trees of transient points. Points that are not mentioned stay fixed, each
 point may be mentioned at most once, and the identity map prints (and
 parses) as "()".
 
-`print_linear` is canonical: cycles are rotated so their smallest target
-comes first, sources are sorted by their own point, components are sorted
+`print_linear` is canonical: each cycle starts at its smallest target,
+sources are sorted by their own point, components are sorted
 by the smallest point occurring anywhere in them, and a source without
 sub-sources prints as a bare point.
 """
@@ -34,9 +34,6 @@ class NotationError(StraytError):
 
 _TOKEN = re.compile(r"\s*(\d+|[][(),;])")
 
-# an entry is (point, sources) with each source again an entry
-_Entry = tuple[int, list]
-
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
@@ -53,9 +50,14 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    """Reads the components in order; an image is written when its bracket or cycle closes."""
+
+    def __init__(self, tokens: list[str], n: int):
         self.tokens = tokens
         self.pos = 0
+        self.n = n
+        self.images = list(range(1, n + 1))
+        self.seen: set[int] = set()
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -73,45 +75,48 @@ class _Parser:
         tok = self.take()
         if not tok.isdigit():
             raise NotationError(f"expected a point, got {tok!r}")
-        return int(tok)
+        p = int(tok)
+        if not 1 <= p <= self.n:
+            raise NotationError(f"point {p} is outside 1..{self.n}")
+        if p in self.seen:
+            raise NotationError(f"point {p} mentioned twice")
+        self.seen.add(p)
+        return p
 
-    def form(self) -> list[tuple[bool, list[_Entry]]]:
-        components = []
-        while self.peek() is not None:
-            components.append(self.component())
-        return components
-
-    def component(self) -> tuple[bool, list[_Entry]]:
+    def component(self) -> None:
         if self.peek() != "(":
-            return False, [self.entry()]
+            self.entry()  # a bare entry is a fixed target, already its own image
+            return
         self.take("(")
-        entries: list[_Entry] = []
+        cycle = []
         if self.peek() != ")":
-            entries.append(self.entry())
+            cycle.append(self.entry())
             while self.peek() == ",":
                 self.take(",")
-                entries.append(self.entry())
+                cycle.append(self.entry())
         self.take(")")
-        return True, entries
+        for target, successor in zip(cycle, cycle[1:] + cycle[:1]):
+            self.images[target - 1] = successor
 
-    def entry(self) -> _Entry:
+    def entry(self) -> int:
         # iterative, so nesting depth is not bounded by the recursion limit;
-        # each open bracket holds the sources read so far inside it
-        brackets: list[list[_Entry]] = []
+        # each open bracket holds the points read so far inside it
+        brackets: list[list[int]] = []
         while True:
             while self.peek() == "[":
                 self.take("[")
                 brackets.append([])
-            done: _Entry = (self.point(), [])
+            done = self.point()
             while brackets:
                 brackets[-1].append(done)
                 if self.peek() == ",":
                     self.take(",")
                     break
                 self.take(";")
-                target = self.point()
+                done = self.point()
                 self.take("]")
-                done = (target, brackets.pop())
+                for source in brackets.pop():
+                    self.images[source - 1] = done
             else:
                 return done
 
@@ -119,118 +124,72 @@ class _Parser:
 def parse_linear(text: str, n: int) -> Transformation:
     """Parse linear notation into a transformation on {1..n}.
 
-    The empty form and "()" give the identity map.
+    The empty form and "()" give the identity map. A stray character is
+    reported first; otherwise the first fault in reading order is.
     """
     if n < 1:
         raise ValueError("state count must be at least 1")
-    components = _Parser(_tokenize(text)).form()
-    images = list(range(1, n + 1))
-    seen: set[int] = set()
-
-    def mention(p: int) -> None:
-        if not 1 <= p <= n:
-            raise NotationError(f"point {p} is outside 1..{n}")
-        if p in seen:
-            raise NotationError(f"point {p} mentioned twice")
-        seen.add(p)
-
-    def place_sources(target: int, sources: list[_Entry]) -> None:
-        # depth-first in written order, so errors name the first bad point
-        stack = [(target, iter(sources))]
-        while stack:
-            target, rest = stack[-1]
-            for point, subs in rest:
-                mention(point)
-                images[point - 1] = target
-                if subs:
-                    stack.append((point, iter(subs)))
-                    break
-            else:
-                stack.pop()
-
-    for is_cycle, entries in components:
-        targets = []
-        for target, sources in entries:
-            mention(target)
-            targets.append(target)
-            place_sources(target, sources)
-        k = len(targets)
-        for i, t in enumerate(targets):
-            images[t - 1] = targets[(i + 1) % k] if is_cycle and k > 1 else t
-    return Transformation(images)
+    parser = _Parser(_tokenize(text), n)
+    while parser.peek() is not None:
+        parser.component()
+    return Transformation(parser.images)
 
 
 def print_linear(s: Transformation) -> str:
     """Canonical linear notation; parse_linear(print_linear(s), s.n) == s."""
     n, img = s.n, s.images
 
-    # points lying on cycles of the functional graph
-    on_cycle: set[int] = set()
-    visited = [False] * (n + 1)
+    # points lying on cycles: each start point walks until it meets a marked
+    # point; meeting one of its own marks closes a new cycle, walked once more
+    mark = [0] * (n + 1)
+    on_cycle = [False] * (n + 1)
     for x in range(1, n + 1):
-        if visited[x]:
-            continue
-        path: list[int] = []
-        path_pos: dict[int, int] = {}
         y = x
-        while y not in path_pos and not visited[y]:
-            path_pos[y] = len(path)
-            path.append(y)
+        while not mark[y]:
+            mark[y] = x
             y = img[y - 1]
-        if y in path_pos:
-            on_cycle.update(path[path_pos[y]:])
-        for p in path:
-            visited[p] = True
+        while mark[y] == x and not on_cycle[y]:
+            on_cycle[y] = True
+            y = img[y - 1]
 
-    # trees of transient points rooted at cycle points
-    preds: dict[int, list[int]] = {}
+    # trees of transient points rooted at cycle points, feeders ascending
+    feeders: list[list[int]] = [[] for _ in range(n + 1)]
     for x in range(1, n + 1):
-        if x not in on_cycle:
-            preds.setdefault(img[x - 1], []).append(x)
-    for feeders in preds.values():
-        feeders.sort()
+        if not on_cycle[x]:
+            feeders[img[x - 1]].append(x)
 
-    # every tree rendered leaves first, without recursion
-    tree = list(on_cycle)
+    # every tree rendered leaves first, without recursion, noting the least
+    # point under each node
+    tree = [x for x in range(1, n + 1) if on_cycle[x]]
     for q in tree:
-        tree.extend(preds.get(q, ()))
-    rendered: dict[int, str] = {}
+        tree.extend(feeders[q])
+    rendered = list(map(str, range(n + 1)))
+    least = list(range(n + 1))
     for q in reversed(tree):
-        srcs = preds.get(q)
-        rendered[q] = f"[{','.join(rendered[r] for r in srcs)};{q}]" if srcs else str(q)
+        srcs = feeders[q]
+        if srcs:
+            rendered[q] = f"[{','.join(rendered[r] for r in srcs)};{q}]"
+            least[q] = min(q, min(least[r] for r in srcs))
 
-    def lowest_point(cycle: list[int]) -> int:
-        lo = min(cycle)
-        stack = list(cycle)
-        while stack:
-            q = stack.pop()
-            lo = min(lo, q)
-            stack.extend(preds.get(q, ()))
-        return lo
-
+    # the ascending scan meets every cycle first at its least point
     pieces: list[tuple[int, str]] = []
-    done: set[int] = set()
     for x in range(1, n + 1):
-        if x not in on_cycle or x in done:
+        if not on_cycle[x]:
             continue
         cycle = [x]
         y = img[x - 1]
         while y != x:
+            on_cycle[y] = False  # read from x; the scan must not restart here
             cycle.append(y)
             y = img[y - 1]
-        done.update(cycle)
-        if len(cycle) == 1 and cycle[0] not in preds:
-            continue  # plain fixed point, omitted
-        start = cycle.index(min(cycle))
-        rotated = cycle[start:] + cycle[:start]
-        entries = [rendered[p] for p in rotated]
-        text = entries[0] if len(rotated) == 1 else "(" + ",".join(entries) + ")"
-        pieces.append((lowest_point(cycle), text))
+        if len(cycle) > 1:
+            text = "(" + ",".join(rendered[p] for p in cycle) + ")"
+            pieces.append((min(least[p] for p in cycle), text))
+        elif feeders[x]:
+            pieces.append((least[x], rendered[x]))  # plain fixed points are omitted
 
-    if not pieces:
-        return "()"
     pieces.sort()
-    return "".join(text for _, text in pieces)
+    return "".join(text for _, text in pieces) or "()"
 
 
 def parse_images(text: str) -> Transformation:

@@ -131,8 +131,21 @@ class TestOrderCommand:
         f = tmp_path / "deep.tsg"
         f.write_text(f"states 1200\nt = {chain}\n")
         code, out, err = run(capsys, "order", f)
-        # the file parses; enumeration then rejects the state count
+        # the header rejects the state count before the generator is parsed
         assert code == 2 and not out and err.startswith("error:") and "255" in err
+
+    def test_huge_state_count_rejected_at_header(self, capsys, tmp_path):
+        # a state table of this size would not fit in memory
+        f = tmp_path / "huge.tsg"
+        f.write_text("states 100000000\na = ()\n")
+        code, out, err = run(capsys, "order", f)
+        assert code == 2 and not out and "huge.tsg:1:" in err and "255" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_enumeration_cap_below_one_rejected(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("STRAYT_MAX_ELEMENTS", cap)
+        code, out, err = run(capsys, "order", fixture_path("ex4_abc"))
+        assert code == 2 and not out and "at least 1" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv("STRAYT_MAX_ELEMENTS", "lots")
@@ -176,9 +189,15 @@ class TestStraightCommand:
         assert code == 0 and len(out) == 72
 
     def test_unreachable_target(self, capsys):
-        code, out, err = run(capsys, "straight", fixture_path("ex1_monogenic"),
-                             "--target", "images: 1 1 1 1")
-        assert code == 3 and not out and "not generated" in err
+        # ex1 has no identity: the adjoined node 0 is not a target
+        for target in ("images: 1 1 1 1", "()", "images: 1 2 3 4", ""):
+            code, out, err = run(capsys, "straight", fixture_path("ex1_monogenic"),
+                                 "--target", target)
+            assert code == 3 and not out and "not generated" in err, target
+
+    def test_identity_target_when_generated(self, capsys):
+        code, out, _ = run(capsys, "straight", fixture_path("ex2_cycle"), "--target", "()")
+        assert code == 0 and out == ["ggg\t()"]
 
     def test_truncation_exit_code(self, capsys):
         code, out, err = run(capsys, "straight", fixture_path("ex4_abc"),

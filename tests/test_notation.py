@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from strayt import (NotationError, Transformation, identity, parse_images,
                     parse_linear, print_linear)
 
+import notation_reference as reference
+
 P53_GENERATORS = [
     "[1;2][3;4][5;6][7;9][8;10][11;12][13;14][15;16]",
     "[2;1][4;3][6;5][9;7][10;8][12;11][14;13][16;15]",
@@ -61,6 +63,14 @@ class TestParseLinear:
             parse_linear("(1,1)", 3)
         with pytest.raises(NotationError):
             parse_linear("[1;2][1;3]", 3)
+
+    def test_first_fault_in_reading_order_is_reported(self):
+        # point 5 is read before the input ends; the reference checked the
+        # whole syntax first and reported the missing "]"
+        with pytest.raises(NotationError, match="point 5 "):
+            parse_linear("[5;6", 3)
+        with pytest.raises(NotationError, match="end of input"):
+            reference.parse_linear("[5;6", 3)
 
     def test_syntax_errors(self):
         for bad in ("[1;2", "(1,", "[;2]", "1]", "[1,2]", "x", "(1 2)"):
@@ -187,3 +197,99 @@ class TestP53Generators:
         for text in P53_GENERATORS:
             t = parse_linear(text, 16)
             assert parse_linear(print_linear(t), 16) == t
+
+
+def random_map(rng, n):
+    """A seeded map on {1..n}: any map, a permutation, or mostly fixed points."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Transformation(rng.randint(1, n) for _ in range(n))
+    if kind == 1:
+        return Transformation(rng.sample(range(1, n + 1), n))
+    return Transformation(rng.randint(1, n) if rng.random() < 0.3 else x
+                          for x in range(1, n + 1))
+
+
+def random_tokens(rng, n):
+    """Tokens of a seeded form that follows the grammar, with its points
+    mostly distinct and in range; about half get one or two token edits."""
+    pool = rng.sample(range(1, n + 1), n)
+    tokens = []
+
+    def point():
+        bad = not pool or rng.random() < 0.05
+        tokens.append(str(rng.randint(0, n + 1) if bad else pool.pop()))
+
+    def entry(depth):
+        if depth < 3 and rng.random() < 0.4:
+            tokens.append("[")
+            for i in range(rng.randint(1, 3)):
+                if i:
+                    tokens.append(",")
+                entry(depth + 1)
+            tokens.append(";")
+            point()
+            tokens.append("]")
+        else:
+            point()
+
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            tokens.append("(")
+            for i in range(rng.randint(0, 3)):
+                if i:
+                    tokens.append(",")
+                entry(0)
+            tokens.append(")")
+        else:
+            entry(0)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(tokens))
+            edit = rng.randrange(3)
+            if edit and tokens[at:]:
+                del tokens[at]  # a deletion, or the first half of a substitution
+            if edit != 1:
+                tokens.insert(at, rng.choice(["(", ")", "[", "]", ",", ";",
+                                              str(rng.randint(0, n + 1))]))
+    return tokens
+
+
+def parse_outcome(parse, text, n):
+    try:
+        return parse(text, n).images, None
+    except NotationError as exc:
+        return None, str(exc)
+
+
+class TestReferenceExactness:
+    """The one-walk parser and printer against the two-walk reference."""
+
+    def test_printed_forms_match(self):
+        rng = random.Random(20261018)
+        sizes = list(range(1, 17)) + [30, 100, 255]
+        for _ in range(20000):
+            s = random_map(rng, rng.choice(sizes))
+            assert print_linear(s) == reference.print_linear(s)
+
+    def test_deep_chain_prints_alike(self):
+        n = 2000
+        s = Transformation(tuple(range(2, n + 1)) + (n,))
+        assert print_linear(s) == reference.print_linear(s)
+
+    def test_token_strings_parse_alike(self):
+        rng = random.Random(8)
+        accepted = syntax_faults = 0
+        for _ in range(100000):
+            n = rng.randint(1, 12)
+            text = rng.choice([" ", ""]).join(random_tokens(rng, n))
+            images, error = parse_outcome(parse_linear, text, n)
+            ref_images, ref_error = parse_outcome(reference.parse_linear, text, n)
+            assert images == ref_images, text
+            if images is not None:
+                accepted += 1
+            elif not error.startswith("point "):
+                # no point fault precedes a syntax fault, so both name it
+                assert error == ref_error, text
+                syntax_faults += 1
+        assert accepted > 20000 and syntax_faults > 20000

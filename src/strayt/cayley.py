@@ -68,8 +68,11 @@ class CayleyGraph:
         n = self.presentation.n
         row = self._packed[node * n:node * n + n]
         if node < 0 or not row:
-            raise ValueError(f"node {node} is outside 0..{self.size - 1}")
+            raise self._outside(node)
         return row
+
+    def _outside(self, node: int) -> ValueError:
+        return ValueError(f"node {node} is outside 0..{self.size - 1}")
 
     def column(self, state: int) -> bytes:
         """Every node's image of the state, in node order."""
@@ -99,6 +102,10 @@ class CayleyGraph:
         return at // n
 
     def step(self, node: int, letter: int) -> int:
+        """The node's edge target for the letter."""
+        if not 0 <= node < self.size:
+            raise self._outside(node)
+        check_word((letter,), self._k)
         return self._edges[node * self._k + letter]
 
     def successors(self, node: int) -> array:
@@ -108,9 +115,11 @@ class CayleyGraph:
 
     def walk(self, word: Sequence[int], start: int = 0) -> int:
         """End node of the path labeled by the word."""
-        check_word(word, self.num_letters)
-        k = self.num_letters
+        k = self._k
+        check_word(word, k)
         edges = self._edges
+        if not 0 <= start < len(edges) // k:
+            raise self._outside(start)
         node = start
         for letter in word:
             node = edges[node * k + letter]

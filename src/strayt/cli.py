@@ -3,9 +3,10 @@
 A presentation file holds a `states <n>` header followed by one generator
 per line, either `<name> = <linear notation>` or
 `<name> = images: i1 i2 ... in`, with `#` starting a comment line. Words
-on the command line are generator names separated by whitespace or dots
-(single-character names may also be run together), and `@name` expands a
-definition from the presentation's `.words` sidecar file.
+on the command line are generator names separated by whitespace or dots,
+so names contain neither (single-character names may also be run
+together), and `@name` expands a definition from the presentation's
+`.words` sidecar file.
 
 Exit codes: 0 success, 2 unparseable input, 3 target not in the semigroup,
 4 word does not permute the chosen set, 5 a search dropped a word beyond
@@ -35,6 +36,9 @@ EXIT_PARSE = 2
 EXIT_NOT_IN_SEMIGROUP = 3
 EXIT_NOT_PERMUTATOR = 4
 EXIT_TRUNCATED = 5
+# errors with an exit code of their own; every other error is EXIT_PARSE
+_EXIT_CODES = ((NotInSemigroup, EXIT_NOT_IN_SEMIGROUP), (NotAPermutatorWord, EXIT_NOT_PERMUTATOR),
+               (EnumerationLimitExceeded, EXIT_TRUNCATED))
 
 # an `@name` token: starts the text or follows a word separator
 _ALIAS = re.compile(r"(?<![^\s.])@([^\s.]*)")
@@ -67,43 +71,50 @@ def _content_lines(path):
             yield line_no, line
 
 
-def load_presentation(path) -> Presentation:
-    """Read a presentation file."""
-    n = None
-    generators: list[tuple[str, object]] = []
+def _definitions(path, lines, value_kind: str, name_kind: str, value_required: bool):
+    """The (line_no, name, value) of each `name = value` line; a line without
+    the `=`, the name or a required value, or repeating a name, fails there."""
     names: set[str] = set()
-    for line_no, line in _content_lines(path):
-        if n is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "states" or not parts[1].isdigit():
-                raise PresentationFileError(path, line_no, "expected 'states <n>' header")
-            n = int(parts[1])
-            if n < 1:
-                raise PresentationFileError(path, line_no, "state count must be at least 1")
-            if n > MAX_STATES:  # rejected before any generator allocates n images
-                raise PresentationFileError(path, line_no, f"state count must be at most {MAX_STATES}")
-            continue
+    for line_no, line in lines:
         name, sep, value = line.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not name:
-            raise PresentationFileError(path, line_no,
-                                        "expected '<name> = <transformation>'")
+        if not sep or not name or (value_required and not value):
+            raise PresentationFileError(path, line_no, f"expected '<name> = <{value_kind}>'")
         if name in names:
-            raise PresentationFileError(path, line_no, f"duplicate generator {name!r}")
+            raise PresentationFileError(path, line_no, f"duplicate {name_kind} {name!r}")
         names.add(name)
+        yield line_no, name, value
+
+
+def load_presentation(path) -> Presentation:
+    """Read a presentation file."""
+    lines = _content_lines(path)
+    line_no, line = next(lines, (0, None))
+    if line is None:
+        raise PresentationFileError(path, 0, "missing 'states <n>' header")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "states" or not parts[1].isdecimal():
+        raise PresentationFileError(path, line_no, "expected 'states <n>' header")
+    n = int(parts[1])
+    if n < 1:
+        raise PresentationFileError(path, line_no, "state count must be at least 1")
+    if n > MAX_STATES:  # rejected before any generator allocates n images
+        raise PresentationFileError(path, line_no, f"state count must be at most {MAX_STATES}")
+    generators: list[tuple[str, object]] = []
+    for line_no, name, value in _definitions(path, lines, "transformation", "generator", False):
         try:
+            if name.replace(".", " ").split() != [name]:  # the rule of Presentation, at its line
+                raise ValueError(f"generator name {name!r} contains whitespace or '.'")
             if value.startswith("images:"):
                 t = parse_images(value[len("images:"):])
                 if t.n != n:
                     raise NotationError(f"image list has {t.n} entries, expected {n}")
             else:
                 t = parse_linear(value, n)
-        except NotationError as exc:
+        except (NotationError, ValueError) as exc:
             raise PresentationFileError(path, line_no, str(exc)) from None
         generators.append((name, t))
-    if n is None:
-        raise PresentationFileError(path, 0, "missing 'states <n>' header")
     if not generators:
         raise PresentationFileError(path, 0, "no generators defined")
     return Presentation(n, generators)
@@ -118,17 +129,8 @@ def load_word_aliases(path) -> dict[str, str]:
     sidecar = Path(path)
     if not sidecar.exists():
         return {}
-    aliases: dict[str, str] = {}
-    for line_no, line in _content_lines(sidecar):
-        name, sep, value = line.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if not sep or not name or not value:
-            raise PresentationFileError(sidecar, line_no, "expected '<name> = <word>'")
-        if name in aliases:
-            raise PresentationFileError(sidecar, line_no, f"duplicate word alias {name!r}")
-        aliases[name] = value
-    return aliases
+    lines = _content_lines(sidecar)
+    return {name: word for _, name, word in _definitions(sidecar, lines, "word", "word alias", True)}
 
 
 def parse_cli_word(p: Presentation, text: str,
@@ -182,14 +184,24 @@ def _limits(args) -> SearchLimits:
     return SearchLimits(max_length=args.max_len, max_results=args.max_results)
 
 
-def _print_words(graph: CayleyGraph, words) -> None:
-    p = graph.presentation
-    for w in words:
-        print(f"{p.format_word(w)}\t{print_linear(graph.element(graph.walk(w)))}")
+def _graph_and_word(args) -> tuple[CayleyGraph, tuple[int, ...]]:
+    """The enumerated graph and the parsed --word of a word command."""
+    graph = _load_graph(args.file)
+    aliases = load_word_aliases(sidecar_path(args.file))
+    return graph, parse_cli_word(graph.presentation, args.word, aliases)
+
+
+def _output(args, rows, lines) -> int:
+    """Print the rows as tab-separated fields under --tsv, else the plain lines."""
+    for line in (["\t".join(map(str, row)) for row in rows] if args.tsv else lines):
+        print(line)
+    return EXIT_OK
 
 
 def _finish_search(graph: CayleyGraph, result) -> int:
-    _print_words(graph, result.words)
+    p = graph.presentation
+    for w in result.words:
+        print(f"{p.format_word(w)}\t{print_linear(graph.element(graph.walk(w)))}")
     if result.truncated:
         print("warning: output truncated by a search limit", file=sys.stderr)
         return EXIT_TRUNCATED
@@ -199,13 +211,8 @@ def _finish_search(graph: CayleyGraph, result) -> int:
 def cmd_order(args) -> int:
     graph = _load_graph(args.file)
     has_identity = "yes" if graph.contains_identity else "no"
-    if args.tsv:
-        print(f"order\t{graph.order}")
-        print(f"identity\t{has_identity}")
-    else:
-        print(graph.order)
-        print(f"identity in S: {has_identity}")
-    return EXIT_OK
+    return _output(args, [("order", graph.order), ("identity", has_identity)],
+                   [graph.order, f"identity in S: {has_identity}"])
 
 
 def cmd_straight(args) -> int:
@@ -229,58 +236,34 @@ def cmd_perm(args) -> int:
         return _finish_search(graph, minimal_straight_permutators(graph, states, limits))
     ps = perm_semigroup(graph, states)
     if args.group_order:
-        if args.tsv:
-            print(f"group_order\t{ps.restriction_group_order}")
-        else:
-            print(ps.restriction_group_order)
-    elif args.tsv:
-        print(f"perm_order\t{len(ps.element_indices)}")
-    else:
-        print(f"|Perm(Y)| = {len(ps.element_indices)}")
-    return EXIT_OK
+        group_order = ps.restriction_group_order
+        return _output(args, [("group_order", group_order)], [group_order])
+    count = len(ps.element_indices)
+    return _output(args, [("perm_order", count)], [f"|Perm(Y)| = {count}"])
 
 
 def cmd_factorize(args) -> int:
-    graph = _load_graph(args.file)
+    graph, word = _graph_and_word(args)
     p = graph.presentation
-    aliases = load_word_aliases(sidecar_path(args.file))
-    word = parse_cli_word(p, args.word, aliases)
-    factors = factorize(graph, word, _parse_states(args.set))
-    for i, factor in enumerate(factors, 1):
-        if args.tsv:
-            print(f"factor\t{i}\t{p.format_word(factor)}")
-        else:
-            print(p.format_word(factor))
-    return EXIT_OK
+    factors = [p.format_word(f) for f in factorize(graph, word, _parse_states(args.set))]
+    return _output(args, (("factor", i, f) for i, f in enumerate(factors, 1)), factors)
 
 
 def cmd_reduce(args) -> int:
-    graph = _load_graph(args.file)
-    p = graph.presentation
-    aliases = load_word_aliases(sidecar_path(args.file))
-    word = parse_cli_word(p, args.word, aliases)
+    graph, word = _graph_and_word(args)
     reduced = reduce_word(graph, word)
-    if args.tsv:
-        print(f"reduced\t{p.format_word(reduced)}")
-        print(f"length_before\t{len(word)}")
-        print(f"length_after\t{len(reduced)}")
-    else:
-        print(p.format_word(reduced))
-        print(f"length: {len(word)} -> {len(reduced)}")
-    return EXIT_OK
+    text = graph.presentation.format_word(reduced)
+    return _output(args, [("reduced", text), ("length_before", len(word)),
+                          ("length_after", len(reduced))],
+                   [text, f"length: {len(word)} -> {len(reduced)}"])
 
 
 def cmd_trajectory(args) -> int:
-    graph = _load_graph(args.file)
-    aliases = load_word_aliases(sidecar_path(args.file))
-    word = parse_cli_word(graph.presentation, args.word, aliases)
-    for i, node in enumerate(graph.trajectory(word)):
-        form = print_linear(graph.element(node))
-        if args.tsv:
-            print(f"node\t{i}\t{node}\t{form}")
-        else:
-            print(form)
-    return EXIT_OK
+    graph, word = _graph_and_word(args)
+    nodes = graph.trajectory(word)
+    forms = [print_linear(graph.element(node)) for node in nodes]
+    return _output(args, (("node", i, node, form)
+                          for i, (node, form) in enumerate(zip(nodes, forms))), forms)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,21 +331,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PresentationFileError, NotationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotInSemigroup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_SEMIGROUP
-    except NotAPermutatorWord as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PERMUTATOR
-    except EnumerationLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATED
     except (StraytError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for error, code in _EXIT_CODES if isinstance(exc, error)), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -99,6 +99,8 @@ class Presentation:
         for i, (name, t) in enumerate(gens):
             if not isinstance(name, str) or not name:
                 raise ValueError("generator names must be nonempty strings")
+            if name.replace(".", " ").split() != [name]:  # `word` splits there
+                raise ValueError(f"generator name {name!r} contains whitespace or '.'")
             if name in positions:
                 raise ValueError(f"duplicate generator name {name!r}")
             if t.n != n:

@@ -199,7 +199,7 @@ def parse_images(text: str) -> Transformation:
         raise NotationError("empty image list")
     images = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise NotationError(f"bad image entry {tok!r}")
         images.append(int(tok))
     n = len(images)

@@ -106,7 +106,8 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     loop word counts when emit[start] is set. With minimal, a path stops
     at its first node after start set in emit, so no emitted word has an
     emitting proper prefix. The result is truncated only when a word beyond
-    max_results exists within the length bound.
+    max_results exists within the length bound. A start outside
+    0..size-1, or a mask that is not one byte per node, raises ValueError.
     """
     # Without max_results, one pass to the length bound finds every word.
     # With it, the bound deepens one length at a time and each pass keeps
@@ -115,12 +116,21 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     # path, and the extra word proves the truncation. Deepening stops once
     # a pass cuts no path that could still reach an emitting node, so the
     # passes walk only the nodes that can. No straight trajectory can use
-    # more edges than there are nodes, which is the hard bound.
+    # more edges than there are nodes, which is the hard bound. A search
+    # that can reach no emitting node ends at once: the single pass asks
+    # _reaches first, and the capped passes find no live node to enter.
+    size = graph.size
+    if not 0 <= start < size:
+        raise ValueError(f"start node {start} is outside 0..{size - 1}")
+    if len(emit) != size:
+        raise ValueError(f"emit mask has {len(emit)} bytes, expected {size}")
     if limits is None:
         limits = SearchLimits()
-    max_len = graph.size if limits.max_length is None else min(limits.max_length, graph.size)
+    max_len = size if limits.max_length is None else min(limits.max_length, size)
     cap = limits.max_results
     if cap is None:
+        if not _reaches(graph, start, emit):
+            return WordSearch(())
         return WordSearch(tuple(_walk(graph, start, emit, minimal, 1, max_len)[0]))
     reach = _reach(graph, emit, max_len)
     found: list[Word] = []
@@ -253,32 +263,29 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     start on their final step; otherwise a path never revisits a node.
     Starting at node 0 this coincides with all_straight_words(target=goal).
     """
-    for name, node in (("start", start), ("goal", goal)):
-        if not 0 <= node < graph.size:
-            raise ValueError(f"{name} node {node} is outside 0..{graph.size - 1}")
-    if not _reaches(graph, start, goal):
-        return WordSearch(())
+    if not 0 <= goal < graph.size:
+        raise ValueError(f"goal node {goal} is outside 0..{graph.size - 1}")
     emit = bytearray(graph.size)
     emit[goal] = 1
     return search(graph, start, emit, limits)
 
 
-def _reaches(graph: CayleyGraph, start: int, goal: int) -> bool:
-    """Whether a nonempty path leads from start to goal.
+def _reaches(graph: CayleyGraph, start: int, emit: bytes | bytearray) -> bool:
+    """Whether a nonempty path leads from start to a node set in emit.
 
     Every node but 0 is a product of generators and so is reached from
     node 0; node 0 is reached again exactly when a word realizes the
     identity. From other starts this is one breadth-first walk.
     """
-    if start == 0:
-        return goal != 0 or graph.contains_identity
+    if start == 0:  # some node after 0 is set, or 0 is set and realized
+        return len(emit.rstrip(b"\0")) > 1 or bool(emit[0] and graph.contains_identity)
     successors = graph.successors
     reached = bytearray(graph.size)
     reached[start] = 1
     queue = [start]
     for node in queue:
         for nxt in successors(node):
-            if nxt == goal:
+            if emit[nxt]:
                 return True
             if not reached[nxt]:
                 reached[nxt] = 1

@@ -90,6 +90,21 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             ex1.images(node)
 
+    @pytest.mark.parametrize("node", [-1, -22, 22, 999])
+    def test_steps_and_walks_outside_the_nodes_raise(self, ex4, node):
+        # ex4 has 22 nodes; a negative node must not wrap round to the last ones
+        assert ex4.size == 22
+        with pytest.raises(ValueError, match=r"outside 0\.\.21"):
+            ex4.step(node, 0)
+        with pytest.raises(ValueError, match=r"outside 0\.\.21"):
+            ex4.walk((0,), start=node)
+
+    @pytest.mark.parametrize("letter", [-1, 3])
+    def test_step_letter_outside_the_generators_raises(self, ex4, letter):
+        # a letter past the last generator would read the next node's row
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            ex4.step(0, letter)
+
     def test_retains_flat_storage_only(self):
         # n bytes of images, k edges and two parent entries of 4 bytes each
         p = deep_presentation()

@@ -1,6 +1,7 @@
 import pytest
 
-from strayt import (fixture_path, load_presentation, load_word_aliases,
+import strayt
+from strayt import (StraytError, fixture_path, load_presentation, load_word_aliases,
                     parse_cli_word, parse_linear, print_linear)
 from strayt.cli import PresentationFileError, main, sidecar_path
 
@@ -63,6 +64,45 @@ class TestPresentationFiles:
         with pytest.raises(PresentationFileError):
             load_presentation(tmp_path / "absent.tsg")
 
+    @pytest.mark.parametrize("name", ["a b", "a.b", "a\tb"])
+    def test_name_with_word_separator_rejected_at_its_line(self, capsys, tmp_path, name):
+        f = tmp_path / "sep.tsg"
+        f.write_text(f"states 2\nc = ()\n{name} = (1,2)\n")
+        with pytest.raises(PresentationFileError) as err:
+            load_presentation(f)
+        assert str(err.value).startswith(f"{f}:3: ") and "whitespace or '.'" in str(err.value)
+        code, out, stderr = run(capsys, "straight", f, "--all")
+        assert code == 2 and not out and "sep.tsg:3:" in stderr
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("states ²\na = ()\n", 1, "expected 'states <n>' header"),
+        ("states 3\na = images: 1 ² 3\n", 2, "bad image entry '²'"),
+    ])
+    def test_non_decimal_digits_rejected_at_their_line(self, capsys, tmp_path, text, line, message):
+        f = tmp_path / "digits.tsg"
+        f.write_text(text)
+        with pytest.raises(PresentationFileError) as err:
+            load_presentation(f)
+        assert str(err.value) == f"{f}:{line}: {message}"
+        code, out, stderr = run(capsys, "order", f)
+        assert code == 2 and not out and stderr == f"error: {f}:{line}: {message}\n"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("states 3\na [1;2]\n", 2, "expected '<name> = <transformation>'"),
+        ("states 3\n = [1;2]\n", 2, "expected '<name> = <transformation>'"),
+        ("states 2\nt = [1;2]\nt = [2;1]\n", 3, "duplicate generator 't'"),
+        ("states 0\na = ()\n", 1, "state count must be at least 1"),
+        ("", 0, "missing 'states <n>' header"),
+        ("# only a comment\n\n", 0, "missing 'states <n>' header"),
+        ("states 3\n", 0, "no generators defined"),
+    ])
+    def test_file_error_messages(self, tmp_path, text, line, message):
+        f = tmp_path / "bad.tsg"
+        f.write_text(text)
+        with pytest.raises(PresentationFileError) as err:
+            load_presentation(f)
+        assert str(err.value) == f"{f}:{line}: {message}"
+
 
 class TestWordAliases:
     def test_p53_sidecar(self):
@@ -84,6 +124,18 @@ class TestWordAliases:
     def test_mixed_tokens(self):
         p = load_presentation(fixture_path("ex4_abc"))
         assert parse_cli_word(p, "ba c", {}) == (1, 0, 2)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("x bac\n", 1, "expected '<name> = <word>'"),
+        ("# a comment\nx =\n", 2, "expected '<name> = <word>'"),
+        ("x = bac\nx = c\n", 2, "duplicate word alias 'x'"),
+    ])
+    def test_sidecar_error_messages(self, tmp_path, text, line, message):
+        f = tmp_path / "bad.words"
+        f.write_text(text)
+        with pytest.raises(PresentationFileError) as err:
+            load_word_aliases(f)
+        assert str(err.value) == f"{f}:{line}: {message}"
 
 
 class TestOrderCommand:
@@ -316,3 +368,41 @@ class TestTrajectoryCommand:
         code, _, err = run(capsys, "trajectory", fixture_path("ex4_abc"),
                            "--word", "axc")
         assert code == 2 and "unknown generator" in err
+
+
+def package_errors(cls=StraytError):
+    """Every exception class of the package that derives from cls, cls included."""
+    found = {cls}
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("strayt."):
+            found |= package_errors(sub)
+    return found
+
+
+class TestExitCodes:
+    # exit codes documented in the cli module docstring; other errors exit 2
+    DOCUMENTED = {"NotInSemigroup": 3, "NotAPermutatorWord": 4, "EnumerationLimitExceeded": 5}
+
+    def test_docstring_documents_the_codes(self):
+        doc = " ".join(strayt.cli.__doc__.split())
+        assert ("Exit codes: 0 success, 2 unparseable input, 3 target not in the semigroup, "
+                "4 word does not permute the chosen set, 5 a search dropped a word") in doc
+
+    def test_every_package_error_is_known(self):
+        assert {cls.__name__ for cls in package_errors()} == {
+            "StraytError", "NotAPermutator", "NotationError", "PresentationFileError",
+            "NotInSemigroup", "EnumerationLimitExceeded", "NotAPermutatorWord"}
+
+    @pytest.mark.parametrize("error", sorted(package_errors() | {ValueError},
+                                             key=lambda cls: cls.__name__),
+                             ids=lambda cls: cls.__name__)
+    def test_error_exit_code(self, capsys, monkeypatch, error):
+        exc = error("f.tsg", 1, "boom") if error is PresentationFileError else error("boom")
+
+        def fail(path):
+            raise exc
+
+        monkeypatch.setattr(strayt.cli, "load_presentation", fail)
+        code, out, err = run(capsys, "order", fixture_path("ex4_abc"))
+        assert code == self.DOCUMENTED.get(error.__name__, 2)
+        assert not out and err == f"error: {exc}\n"

@@ -175,6 +175,12 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation(3, [("", identity(3))])
 
+    @pytest.mark.parametrize("name", ["a b", "a.b", "a\tb", " a", "a.", "."])
+    def test_names_with_word_separators_rejected(self, name):
+        # such a name would not parse back from format_word's output
+        with pytest.raises(ValueError, match="whitespace or '.'"):
+            Presentation(2, [(name, identity(2))])
+
     def test_mismatched_state_count_rejected(self):
         with pytest.raises(ValueError):
             Presentation(3, [("t", T)])

@@ -173,6 +173,12 @@ class TestParseImages:
         with pytest.raises(NotationError):
             parse_images("1 x 3")
 
+    @pytest.mark.parametrize("token", ["²", "¹", "①"])
+    def test_digit_that_is_not_decimal(self, token):
+        # str.isdigit accepts these, but int() does not
+        with pytest.raises(NotationError, match="bad image entry"):
+            parse_images(f"1 {token} 3")
+
     def test_out_of_range(self):
         with pytest.raises(NotationError):
             parse_images("1 4 2")

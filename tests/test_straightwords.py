@@ -8,7 +8,7 @@ from strayt import (EnumerationLimitExceeded, Presentation, SearchLimits,
                     Transformation, WordSearch, all_straight_words,
                     enumerate_semigroup, evaluate, fixture_path, identity,
                     load_presentation, minimal_straight_permutators,
-                    parse_linear, permutes, permuting, straight_paths,
+                    parse_linear, permutes, permuting, search, straight_paths,
                     straight_permutator_words)
 
 from test_cayley import deep_presentation, oracle_is_straight
@@ -262,6 +262,19 @@ class TestStraightPaths:
         assert time.perf_counter() - t0 < 0.5
         assert result.words == () and not result.truncated
 
+    def test_uncapped_unreachable_goal_returns_at_once(self, deep):
+        t0 = time.perf_counter()
+        assert straight_paths(deep, 1, 0).words == ()
+        emit = bytearray(deep.size)
+        emit[0] = 1
+        assert search(deep, 1, emit, SearchLimits(max_length=100)).words == ()
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("start, goal", [(-3, 1), (22, 1), (1, -1), (1, 22)])
+    def test_nodes_outside_the_graph_raise(self, ex4, start, goal):
+        with pytest.raises(ValueError, match=r"outside 0\.\.21"):
+            straight_paths(ex4, start, goal)
+
     def test_capped_search_stops_at_the_shortest_words(self, deep):
         # the first words to node 639 have 14-16 letters, far fewer than the
         # straight paths a walk to the hard bound would cross first
@@ -286,6 +299,20 @@ class TestStraightPaths:
         assert graph.size == 272
         result = straight_paths(graph, 0, 0, SearchLimits(max_results=1))
         assert result.words == ((0,) * 272,) and not result.truncated
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("start", [-3, -22, 22, 999])
+    def test_start_outside_the_nodes_raises(self, ex4, start):
+        # a negative start must not wrap round to the last nodes
+        with pytest.raises(ValueError, match=r"outside 0\.\.21"):
+            search(ex4, start, b"\x01" * 22, None)
+
+    @pytest.mark.parametrize("length", [0, 21, 23, 27])
+    def test_mask_not_one_byte_per_node_raises(self, ex4, length):
+        for limits in (None, SearchLimits(max_results=2)):
+            with pytest.raises(ValueError, match="22"):
+                search(ex4, 0, b"\x01" * length, limits)
 
 
 class TestStraightPermutatorWords:

@@ -26,25 +26,27 @@ class EnumerationLimitExceeded(StraytError):
 class CayleyGraph:
     """The generated semigroup with the identity adjoined as node 0.
 
-    Node 0 is always the identity map, whether or not a nonempty word
-    realizes it; `contains_identity` records whether one does. Nodes 1..
-    are the generated elements in breadth-first discovery order, and every
-    (node, letter) pair has an outgoing edge node -> node * generator.
-    Words over the presentation label paths from node 0. The maps are kept
-    node-major in one byte buffer, n bytes per node, so that a node's
-    images read as one slice and a state's images over every node as one
-    strided slice; no per-node object or lookup table outlives enumeration.
+    Nodes 1.. are the generated elements in breadth-first discovery order,
+    and every (node, letter) pair has an edge node -> node * generator;
+    words over the presentation label paths from node 0. Three buffers
+    hold the graph, and no per-node object or lookup table outlives
+    enumeration: `_packed` keeps the maps node-major, n bytes per node, so
+    a node's images read as one slice and a state's images over every node
+    as one strided slice; `_edges[node * k + letter]` is that edge's
+    target; `_found_by` keeps, for each node >= 1, the index in `_edges` of
+    the edge that first reached it, which spells the node's first word.
+    Node 0 is the identity map whether or not a nonempty word realizes it;
+    `contains_identity` says whether some edge enters node 0.
     """
 
     def __init__(self, presentation: Presentation, packed: bytes, edges: array,
-                 parent_node: array, parent_letter: array, contains_identity: bool):
+                 found_by: array):
         self.presentation = presentation
         self._packed = packed
         self._edges = edges
-        self._parent_node = parent_node
-        self._parent_letter = parent_letter
+        self._found_by = found_by
         self._k = len(presentation.generators)
-        self.contains_identity = contains_identity
+        self.contains_identity = 0 in edges
 
     @property
     def num_letters(self) -> int:
@@ -158,8 +160,8 @@ class CayleyGraph:
             raise ValueError(f"node {node} has no defining word")
         letters = []
         while node != 0:
-            letters.append(self._parent_letter[node])
-            node = self._parent_node[node]
+            node, letter = divmod(self._found_by[node], self._k)
+            letters.append(letter)
         return tuple(reversed(letters))
 
 
@@ -189,20 +191,16 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     ident = bytes(range(1, n + 1))
     packed = bytearray(ident)
     index = {ident: 0}
-    parent_node = array("i", [-1])
-    parent_letter = array("i", [-1])
+    found_by = array("i", [-1])
     edges = array("i")
     edges_append = edges.append
     index_get = index.get
-    letter_tables = list(enumerate(tables))
-    contains_identity = False
 
-    node = 0
     level = [ident]
     while level:  # one breadth-first level at a time, in discovery order
         fresh = []
         for src in level:
-            for letter, tbl in letter_tables:
+            for tbl in tables:
                 img = src.translate(tbl)
                 nxt = index_get(img)
                 if nxt is None:
@@ -210,18 +208,18 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
                     index[img] = nxt
                     fresh.append(img)
                     packed += img
-                    parent_node.append(node)
-                    parent_letter.append(letter)
-                elif nxt == 0:
-                    contains_identity = True
+                    found_by.append(len(edges))
                 edges_append(nxt)
-            if max_elements is not None and len(index) - 1 + contains_identity > max_elements:
+            if max_elements is not None and len(index) - 1 > max_elements:
                 raise EnumerationLimitExceeded(
                     f"enumeration exceeded the cap of {max_elements} elements")
-            node += 1
         level = fresh
 
     # the maps and their index serve only the closure; they go before the
     # buffer is copied, so the copy never adds to the peak
     del index, index_get, src, img
-    return CayleyGraph(p, bytes(packed), edges, parent_node, parent_letter, contains_identity)
+    graph = CayleyGraph(p, bytes(packed), edges, found_by)
+    if max_elements is not None and graph.order > max_elements:  # the identity counts too
+        raise EnumerationLimitExceeded(
+            f"enumeration exceeded the cap of {max_elements} elements")
+    return graph

@@ -4,9 +4,9 @@ A presentation file holds a `states <n>` header followed by one generator
 per line, either `<name> = <linear notation>` or
 `<name> = images: i1 i2 ... in`, with `#` starting a comment line. Words
 on the command line are generator names separated by whitespace or dots,
-so names contain neither (single-character names may also be run
-together), and `@name` expands a definition from the presentation's
-`.words` sidecar file.
+so neither generator nor alias names contain them (single-character names
+may also be run together), and `@name` expands a definition from the
+presentation's `.words` sidecar file, so no generator name starts with `@`.
 
 Exit codes: 0 success, 2 unparseable input, 3 target not in the semigroup,
 4 word does not permute the chosen set, 5 a search dropped a word beyond
@@ -73,7 +73,8 @@ def _content_lines(path):
 
 def _definitions(path, lines, value_kind: str, name_kind: str, value_required: bool):
     """The (line_no, name, value) of each `name = value` line; a line without
-    the `=`, the name or a required value, or repeating a name, fails there."""
+    the `=`, the name or a required value, with whitespace or `.` in the name
+    (both separate a command-line word), or repeating a name, fails there."""
     names: set[str] = set()
     for line_no, line in lines:
         name, sep, value = line.partition("=")
@@ -81,6 +82,9 @@ def _definitions(path, lines, value_kind: str, name_kind: str, value_required: b
         value = value.strip()
         if not sep or not name or (value_required and not value):
             raise PresentationFileError(path, line_no, f"expected '<name> = <{value_kind}>'")
+        if name.replace(".", " ").split() != [name]:
+            raise PresentationFileError(
+                path, line_no, f"{name_kind} name {name!r} contains whitespace or '.'")
         if name in names:
             raise PresentationFileError(path, line_no, f"duplicate {name_kind} {name!r}")
         names.add(name)
@@ -104,8 +108,8 @@ def load_presentation(path) -> Presentation:
     generators: list[tuple[str, object]] = []
     for line_no, name, value in _definitions(path, lines, "transformation", "generator", False):
         try:
-            if name.replace(".", " ").split() != [name]:  # the rule of Presentation, at its line
-                raise ValueError(f"generator name {name!r} contains whitespace or '.'")
+            if name.startswith("@"):  # `@name` on the command line is a word alias
+                raise ValueError(f"generator name {name!r} starts with '@'")
             if value.startswith("images:"):
                 t = parse_images(value[len("images:"):])
                 if t.n != n:

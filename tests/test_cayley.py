@@ -8,6 +8,8 @@ from strayt import (EnumerationLimitExceeded, NotInSemigroup, Presentation,
                     Transformation, compose, enumerate_semigroup, evaluate,
                     identity)
 
+from test_permutator import mixed_graphs, random_graphs
+
 
 def oracle_prefix_maps(p, word):
     """Prefix realizations computed directly, identity first."""
@@ -21,6 +23,47 @@ def deep_presentation():
     """Two maps on 5 states generating 641 elements, the identity among them."""
     return Presentation(5, [("a", Transformation((3, 2, 1, 1, 4))),
                             ("b", Transformation((5, 3, 4, 2, 1)))])
+
+
+def oracle_elements(p):
+    """Maps realized by nonempty words: every word found so far is extended
+    by each letter and evaluated, until no new map turns up."""
+    k = len(p.generators)
+    words = [(a,) for a in range(k)]
+    found = {evaluate(p, w) for w in words}
+    for w in words:  # grows while it is read, breadth-first
+        for a in range(k):
+            m = evaluate(p, w + (a,))
+            if m not in found:
+                found.add(m)
+                words.append(w + (a,))
+    return found
+
+
+def oracle_first_words(p, budget=20000):
+    """The shortest, then lexicographically least, word realizing each map,
+    by evaluating every word length by length until a whole length realizes
+    nothing new; None when a length holds more than `budget` words."""
+    gens = [t.images for _, t in p.generators]
+    first = {}
+    level = [((), tuple(range(1, p.n + 1)))]
+    while True:
+        level = [(w + (a,), tuple(g[x - 1] for x in m))
+                 for w, m in level for a, g in enumerate(gens)]
+        if len(level) > budget:
+            return None
+        fresh = [(m, w) for w, m in level if m not in first]
+        if not fresh:
+            return first
+        for m, w in fresh:
+            first.setdefault(m, w)
+
+
+@pytest.fixture(scope="module")
+def graphs(ex1, ex2, ex3, ex4):
+    """The four small fixtures and seeded random presentations of both test
+    families, 42 of the 84 holding the identity."""
+    return [ex1, ex2, ex3, ex4] + random_graphs(53, 40) + mixed_graphs(59, 40)
 
 
 def oracle_is_straight(p, word):
@@ -71,7 +114,7 @@ class TestEnumerate:
             assert all(g1.step(i, a) == g2.step(i, a) for a in range(g1.num_letters))
         assert all(g1.first_word(i) == g2.first_word(i) for i in range(1, g1.size))
 
-    def test_max_elements_cap(self, ex2, ex4):
+    def test_max_elements_cap(self, ex2, ex4, graphs):
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_semigroup(ex4.presentation, max_elements=5)
         assert enumerate_semigroup(ex4.presentation, max_elements=21).order == 21
@@ -79,6 +122,23 @@ class TestEnumerate:
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_semigroup(ex2.presentation, max_elements=2)
         assert enumerate_semigroup(ex2.presentation, max_elements=3).order == 3
+        # every graph fits a cap of its order and no smaller one; where the
+        # identity is generated, it alone takes the order past order - 1
+        assert sum(g.contains_identity for g in graphs) >= 10
+        for g in graphs:
+            p = g.presentation
+            assert enumerate_semigroup(p, max_elements=g.order).order == g.order
+            if g.order > 1:
+                with pytest.raises(EnumerationLimitExceeded):
+                    enumerate_semigroup(p, max_elements=g.order - 1)
+
+    def test_identity_membership_matches_closure(self, graphs):
+        for g in graphs:
+            p = g.presentation
+            elements = oracle_elements(p)
+            assert g.contains_identity == (identity(p.n) in elements)
+            assert g.order == len(elements)
+        assert len({g.contains_identity for g in graphs}) == 2
 
     def test_images_are_the_node_maps(self, ex1, ex4):
         for g in (ex1, ex4):
@@ -106,7 +166,7 @@ class TestEnumerate:
             ex4.step(0, letter)
 
     def test_retains_flat_storage_only(self):
-        # n bytes of images, k edges and two parent entries of 4 bytes each
+        # n bytes of images, k edges and one discovering edge of 4 bytes each
         p = deep_presentation()
         gc.collect()
         tracemalloc.start()
@@ -117,7 +177,7 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert graph.size == 641
-        assert held <= (p.n + 4 * graph.num_letters + 8) * graph.size + 4096
+        assert held <= (p.n + 4 * graph.num_letters + 4) * graph.size + 4096
 
     def test_too_many_states_rejected(self):
         with pytest.raises(ValueError):
@@ -234,6 +294,18 @@ class TestFirstWords:
                     assert ex4.is_straight(word)
         for node, word in shortest.items():
             assert ex4.first_word(node) == word
+
+    def test_first_words_are_least_shortest_words(self, graphs):
+        checked = 0
+        for g in graphs:
+            first = oracle_first_words(g.presentation)
+            if first is None:
+                continue  # too many words of the longest length to list
+            checked += 1
+            assert len(first) == g.order
+            for node in range(1, g.size):
+                assert g.first_word(node) == first[tuple(g.images(node))]
+        assert checked >= 75
 
     def test_node_zero_has_no_first_word(self, ex2):
         with pytest.raises(ValueError):

@@ -74,6 +74,15 @@ class TestPresentationFiles:
         code, out, stderr = run(capsys, "straight", f, "--all")
         assert code == 2 and not out and "sep.tsg:3:" in stderr
 
+    @pytest.mark.parametrize("name", ["@a", "@"])
+    def test_name_starting_with_alias_sign_rejected_at_its_line(self, capsys, tmp_path, name):
+        # `@a` would print in words that `--word '@a'` reads as an alias
+        f = tmp_path / "at.tsg"
+        f.write_text(f"states 2\nc = ()\n{name} = (1,2)\n")
+        code, out, stderr = run(capsys, "order", f)
+        assert code == 2 and not out
+        assert stderr == f"error: {f}:3: generator name {name!r} starts with '@'\n"
+
     @pytest.mark.parametrize("text, line, message", [
         ("states ²\na = ()\n", 1, "expected 'states <n>' header"),
         ("states 3\na = images: 1 ² 3\n", 2, "bad image entry '²'"),
@@ -129,6 +138,8 @@ class TestWordAliases:
         ("x bac\n", 1, "expected '<name> = <word>'"),
         ("# a comment\nx =\n", 2, "expected '<name> = <word>'"),
         ("x = bac\nx = c\n", 2, "duplicate word alias 'x'"),
+        ("x = bac\nx y = c\n", 2, "word alias name 'x y' contains whitespace or '.'"),
+        ("x.y = bac\n", 1, "word alias name 'x.y' contains whitespace or '.'"),
     ])
     def test_sidecar_error_messages(self, tmp_path, text, line, message):
         f = tmp_path / "bad.words"
@@ -136,6 +147,17 @@ class TestWordAliases:
         with pytest.raises(PresentationFileError) as err:
             load_word_aliases(f)
         assert str(err.value) == f"{f}:{line}: {message}"
+
+    @pytest.mark.parametrize("name", ["x y", "x.y", "x\ty"])
+    def test_name_with_word_separator_rejected_at_its_line(self, capsys, tmp_path, name):
+        # `@x y` would expand `@x`, and no `@` token can reach the name
+        f = tmp_path / "abc.tsg"
+        f.write_text(fixture_path("ex4_abc").read_text())
+        sidecar_path(f).write_text(f"# aliases\nz = ab\n{name} = bac\n")
+        code, out, stderr = run(capsys, "trajectory", f, "--word", "@z")
+        assert code == 2 and not out
+        assert stderr == (f"error: {sidecar_path(f)}:3: word alias name {name!r}"
+                          " contains whitespace or '.'\n")
 
 
 class TestOrderCommand:

@@ -49,7 +49,8 @@ def test_module_uses_public_names_only(path):
 
 
 def test_graph_storage_is_guarded():
-    assert {"_packed", "_edges", "_parent_node", "_parent_letter"} <= GRAPH_PRIVATE
+    # the three buffers and the letter count are all a graph keeps
+    assert GRAPH_PRIVATE == {"_packed", "_edges", "_found_by", "_k"}
 
 
 def test_checker_flags_reach_ins():

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strayt import (NotAPermutatorWord, Presentation, SearchLimits,
-                    Transformation, compose, enumerate_semigroup, evaluate,
-                    factorize, is_minimal_permutator,
+from strayt import (EnumerationLimitExceeded, NotAPermutatorWord, Presentation,
+                    SearchLimits, Transformation, compose, enumerate_semigroup,
+                    evaluate, factorize, is_minimal_permutator,
                     minimal_straight_permutators, perm_semigroup, permutes,
                     reduce_word, restrict, retract, straight_paths,
                     subgroup_closure)
@@ -58,6 +58,33 @@ def random_graphs(seed, count):
         gens = [(name, Transformation(rng.randint(1, n) for _ in range(n)))
                 for name in "abc"[:rng.randint(1, 3)]]
         graphs.append(enumerate_semigroup(Presentation(n, gens)))
+    return graphs
+
+
+def mixed_graphs(seed, count):
+    """Seeded random presentations on 1-20 states with 1-3 generators, each
+    a random map or a product of disjoint 2- and 3-cycles, kept when they
+    have at most 400 elements."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(1, 20)
+        gens = []
+        for name in "abc"[:rng.randint(1, 3)]:
+            if rng.random() < 0.5:
+                images = list(range(1, n + 1))
+                order = rng.sample(range(1, n + 1), n)
+                while len(order) >= 2:
+                    cycle = [order.pop() for _ in range(min(len(order), rng.choice((2, 3))))]
+                    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                        images[x - 1] = y
+            else:
+                images = [rng.randint(1, n) for _ in range(n)]
+            gens.append((name, Transformation(images)))
+        try:
+            graphs.append(enumerate_semigroup(Presentation(n, gens), max_elements=400))
+        except EnumerationLimitExceeded:
+            pass
     return graphs
 
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from strayt import (EnumerationLimitExceeded, Presentation, SearchLimits,
+from strayt import (Presentation, SearchLimits,
                     Transformation, WordSearch, all_straight_words,
                     enumerate_semigroup, evaluate, fixture_path, identity,
                     load_presentation, minimal_straight_permutators,
@@ -12,7 +12,7 @@ from strayt import (EnumerationLimitExceeded, Presentation, SearchLimits,
                     straight_permutator_words)
 
 from test_cayley import deep_presentation, oracle_is_straight
-from test_permutator import random_graphs
+from test_permutator import mixed_graphs, random_graphs
 
 CONSTANT_WORDS = {
     "[1,3;2]": {"abca", "aca", "acbabca", "acbaca", "acbacbca", "acbca",
@@ -341,33 +341,6 @@ class TestMinimalStraightPermutators:
         assert words_of(ex4, code) == {"c", "bac"} and not code.truncated
         cut = minimal_straight_permutators(ex4, {1, 2}, SearchLimits(max_results=1))
         assert words_of(ex4, cut) == {"c"} and cut.truncated
-
-
-def mixed_graphs(seed, count):
-    """Seeded random presentations on 1-20 states with 1-3 generators, each
-    a random map or a product of disjoint 2- and 3-cycles, kept when they
-    have at most 400 elements."""
-    rng = random.Random(seed)
-    graphs = []
-    while len(graphs) < count:
-        n = rng.randint(1, 20)
-        gens = []
-        for name in "abc"[:rng.randint(1, 3)]:
-            if rng.random() < 0.5:
-                images = list(range(1, n + 1))
-                order = rng.sample(range(1, n + 1), n)
-                while len(order) >= 2:
-                    cycle = [order.pop() for _ in range(min(len(order), rng.choice((2, 3))))]
-                    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-                        images[x - 1] = y
-            else:
-                images = [rng.randint(1, n) for _ in range(n)]
-            gens.append((name, Transformation(images)))
-        try:
-            graphs.append(enumerate_semigroup(Presentation(n, gens), max_elements=400))
-        except EnumerationLimitExceeded:
-            pass
-    return graphs
 
 
 class TestPermutingMask:

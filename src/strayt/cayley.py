@@ -181,13 +181,7 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
         raise ValueError(f"enumeration supports at most {MAX_STATES} states")
     if max_elements is not None and max_elements < 1:
         raise ValueError(f"max_elements must be at least 1, got {max_elements}")
-    base = bytes(range(256))
-    tables = []
-    for _, t in p.generators:
-        tbl = bytearray(base)
-        tbl[1:n + 1] = bytes(t.images)
-        tables.append(bytes(tbl))
-
+    tables = p.tables
     ident = bytes(range(1, n + 1))
     packed = bytearray(ident)
     index = {ident: 0}

@@ -84,10 +84,13 @@ def check_word(word: Sequence[int], num_letters: int) -> None:
             raise ValueError(f"letter {letter!r} is outside 0..{num_letters - 1}")
 
 
+_BYTES = bytes(range(256))
+
+
 class Presentation:
     """A state count together with an ordered list of named generator maps."""
 
-    __slots__ = ("n", "generators", "_positions", "_single_char")
+    __slots__ = ("n", "generators", "tables", "_positions", "_single_char")
 
     def __init__(self, n: int, generators: Iterable[tuple[str, Transformation]]) -> None:
         if n < 1:
@@ -108,6 +111,10 @@ class Presentation:
             positions[name] = i
         self.n = n
         self.generators = gens
+        # each generator as a bytes.translate table: state x goes to its
+        # image, every other byte to itself; a byte holds at most 255 states
+        self.tables = tuple(_BYTES[:1] + bytes(t.images) + _BYTES[n + 1:]
+                            for _, t in gens) if n < 256 else ()
         self._positions = positions
         self._single_char = all(len(name) == 1 for name in positions)
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .core import StraytError, stateset
 from .cayley import CayleyGraph
-from .straightwords import SearchLimits, Word, WordSearch, permuting, search
+from .straightwords import SearchLimits, Word, WordSearch, permutator_search, permuting
 
 
 class NotAPermutatorWord(StraytError):
@@ -86,7 +86,7 @@ def minimal_straight_permutators(graph: CayleyGraph, states: Sequence[int],
     which is exactly the minimality cut, so without limits the enumeration
     is complete (and finite, by the straight-word length bound).
     """
-    return search(graph, 0, permuting(graph, states), limits, minimal=True)
+    return permutator_search(graph, states, limits, minimal=True)
 
 
 def _require_permutator(e: bytes, members: frozenset[int]) -> None:

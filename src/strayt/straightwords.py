@@ -5,17 +5,45 @@ letter position. A depth-first pass over the Cayley graph, in letter
 order, drops each word into the bucket of its length, and the buckets
 joined give that order: one pass to the length bound answers a search
 without a result cap, while a capped search deepens one length at a time
-so that it stops at the shortest words, entering only nodes from which
-an emitting node still lies within the length left. A step onto an
-already visited node is taken only when it closes a loop at the starting
-node as the word's final letter, which is exactly the straightness
-condition. Every search is one call of `search` with its own emit mask:
-one byte per node, set where a word ending there is emitted. All words
-set every byte, a target sets one, and the permutators of a state set
-come from `permuting`, which builds the mask from the graph's state
-columns without a Python loop over nodes. The walk reads one successor
-row per node it enters and keeps its visited nodes in a byte mask too;
-the graph is read-only throughout.
+so that it stops at the shortest words. A step onto an already visited
+node is taken only when it closes a loop at the starting node as the
+word's final letter, which is exactly the straightness condition.
+
+The walk reads one byte per node, its nearness: 1 when no emitting node
+lies within the length bound, 2 when a word ending there is emitted, and
+2 + d when no emitting node is nearer than d edges on. It never enters a
+node of nearness 1 and cuts a path whose nearest emitting node lies
+beyond the bound. Every search trims this one way; the searches differ
+only in where the bytes come from:
+
+- every straight word: every node emits;
+- `search`, with a caller's emit mask: a breadth-first pass over the
+  reversed edges (`_reach`) when max_results caps the search; without
+  the cap every node that does not emit reads 3;
+- the permutators of a state set Y, and the paths to a goal node t: a
+  guide, the forward orbit of one state set under the generators' action
+  on subsets (Linton, Pfeiffer, Robertson and Ruskuc, Computing
+  transformation semigroups, 2002). The walk carries, for each node it
+  sees, the set the node's map makes of the starting set: a child's set
+  is one table lookup from its parent's, and the node's nearness is its
+  set's distance to the goal set, read the first time the walk sees the
+  node. For Y the set of node u is Y·u, and u·v permutes Y exactly when
+  v maps Y·u onto Y; sets smaller than Y are dropped, since images never
+  grow. For t the set of u is the pairs (u(x), t(x)), one per state x,
+  and a letter moves the first of each pair: u·v = t exactly when v maps
+  them onto the pairs (t(x), t(x)); when t keeps all states apart, the
+  map u itself names its pairs. A set in which one first has two seconds
+  is dropped, since u then joins two states that t keeps apart.
+  Both distances are exact, so a node emits exactly when its set is the
+  goal set. A walk too short to pay for its guide (`_worth_a_guide`)
+  goes unguided, every node that does not emit at nearness 3: the
+  permutators of Y come from the `permuting` mask, which builds them
+  from the graph's state columns without a Python loop over nodes, and t
+  is the only emitting node.
+
+A path to a goal node ends there, since it can never come back. The walk
+reads one successor row per node it enters and keeps its visited nodes
+in a byte mask; the graph is read-only throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +51,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .core import stateset
 from .cayley import CayleyGraph
@@ -33,10 +61,15 @@ Word = tuple[int, ...]
 # _ALL_SET[g] maps a byte to 1 exactly when its low g bits are all set
 _ALL_SET = [bytes(int(b & ((1 << g) - 1) == (1 << g) - 1) for b in range(256))
             for g in range(9)]
-# translate tables: _NONZERO maps every nonzero byte to 1, _ZERO maps 0 to 1
-# and every other byte to 0
-_NONZERO = bytes([0] + [1] * 255)
-_ZERO = bytes([1] + [0] * 255)
+# translate tables from an emit mask to nearness, every nonzero byte to 2:
+# _EMITS maps 0 to 1 (until reached), _UNKNOWN maps 0 to 3 (not emitting)
+_EMITS = bytes([1] + [2] * 255)
+_UNKNOWN = bytes([3] + [2] * 255)
+# Before it saves anything, a guide costs about what an unguided walk
+# through this many nodes costs: a few microseconds to set up, then 3 to 4
+# walk steps per set image (measured on 330 seeded census presentations).
+# A walk that can enter no more nodes goes unguided.
+_GUIDE_COST = 32
 
 
 @dataclass(frozen=True)
@@ -68,6 +101,10 @@ class WordSearch:
 
     def __contains__(self, word: object) -> bool:
         return tuple(word) in self.words
+
+
+_UNLIMITED = SearchLimits()
+_NO_GUIDE = (None, None, None)
 
 
 def permuting(graph: CayleyGraph, states: Sequence[int]) -> bytes:
@@ -108,49 +145,69 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     emitting proper prefix. The result is truncated only when a word beyond
     max_results exists within the length bound. A start outside
     0..size-1, or a mask that is not one byte per node, raises ValueError.
+    A search that can reach no emitting node ends at once. With
+    max_results, the walk enters only nodes from which an emitting node
+    lies within the length left, as one breadth-first pass over the
+    reversed edges finds (`_reach`); that pass reads every edge of the
+    graph, so a search without the cap walks untrimmed instead. The
+    permutator and goal searches trim either way, from the orbit of a
+    state set.
     """
+    limits, max_len = _length_bound(graph, start, limits)
+    if len(emit) != graph.size:
+        raise ValueError(f"emit mask has {len(emit)} bytes, expected {graph.size}")
+    if limits.max_results is not None:
+        near = _reach(graph, emit, max_len)
+    elif _reaches(graph, start, emit):
+        near = emit.translate(_UNKNOWN)
+    else:
+        return WordSearch(())
+    return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, minimal)
+
+
+def _length_bound(graph: CayleyGraph, start: int,
+                  limits: SearchLimits | None) -> tuple[SearchLimits, int]:
+    """The limits, and the length bound: max_length, but never more than
+    the node count, since no straight trajectory uses more edges than
+    there are nodes. A start outside the graph raises ValueError."""
+    size = graph.size
+    if not 0 <= start < size:
+        raise ValueError(f"start node {start} is outside 0..{size - 1}")
+    if limits is None:
+        limits = _UNLIMITED
+    return limits, size if limits.max_length is None else min(limits.max_length, size)
+
+
+def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
+            limits: SearchLimits, max_len: int, minimal: bool) -> WordSearch:
+    """The words of a search, from one walk or from one walk per length."""
     # Without max_results, one pass to the length bound finds every word.
     # With it, the bound deepens one length at a time and each pass keeps
     # only the words of its own length, up to the first word beyond the
     # cap: a short answer must not wait for a walk through every long
     # path, and the extra word proves the truncation. Deepening stops once
-    # a pass cuts no path that could still reach an emitting node, so the
-    # passes walk only the nodes that can. No straight trajectory can use
-    # more edges than there are nodes, which is the hard bound. A search
-    # that can reach no emitting node ends at once: the single pass asks
-    # _reaches first, and the capped passes find no live node to enter.
-    size = graph.size
-    if not 0 <= start < size:
-        raise ValueError(f"start node {start} is outside 0..{size - 1}")
-    if len(emit) != size:
-        raise ValueError(f"emit mask has {len(emit)} bytes, expected {size}")
-    if limits is None:
-        limits = SearchLimits()
-    max_len = size if limits.max_length is None else min(limits.max_length, size)
+    # a pass cuts no path that could still reach an emitting node.
     cap = limits.max_results
     if cap is None:
-        if not _reaches(graph, start, emit):
-            return WordSearch(())
-        return WordSearch(tuple(_walk(graph, start, emit, minimal, 1, max_len)[0]))
-    reach = _reach(graph, emit, max_len)
+        return WordSearch(tuple(_walk(graph, start, near, guide, minimal, 1, max_len)[0]))
     found: list[Word] = []
     for length in range(1, max_len + 1):
-        words, cut = _walk(graph, start, emit, minimal, length, length,
-                           cap + 1 - len(found), reach)
+        words, cut = _walk(graph, start, near, guide, minimal, length, length,
+                           cap + 1 - len(found))
         found += words
         if len(found) > cap or not cut:
             break
     return WordSearch(tuple(found[:cap]), truncated=len(found) > cap)
 
 
-def _reach(graph: CayleyGraph, emit: bytes | bytearray, bound: int) -> bytes:
-    """Byte mask over nodes: 1 + the fewest edges from the node to a node
-    set in emit, or 0 when none lies within bound - 1 edges.
+def _reach(graph: CayleyGraph, emit: bytes | bytearray, bound: int) -> bytearray:
+    """Nearness of every node to the nodes set in emit, counting only
+    emitting nodes within bound - 1 edges.
 
     One breadth-first pass over the reversed edges, which are kept as
     linked lists in two flat arrays: first[w] is the last edge into w and
     after[e] the edge into the same node before e, -1 ending a list; edge
-    e leaves node e // k. Distances above 254 read as 255, a lower bound
+    e leaves node e // k. Nearness above 254 reads as 255, a lower bound
     that never reads as unreachable.
     """
     size, k = graph.size, graph.num_letters
@@ -163,27 +220,123 @@ def _reach(graph: CayleyGraph, emit: bytes | bytearray, bound: int) -> bytes:
             after[e] = first[nxt]
             first[nxt] = e
             e += 1
-    reach = bytearray(emit.translate(_NONZERO))
-    frontier = list(compress(range(size), reach))
-    far = 1
-    while frontier and far < bound:
+    near = bytearray(emit.translate(_EMITS))
+    frontier = list(compress(range(size), emit))
+    far = 2
+    while frontier and far <= bound:
         far += 1
         fresh = []
         for nxt in frontier:
             e = first[nxt]
             while e >= 0:
                 node = e // k
-                if not reach[node]:
-                    reach[node] = min(far, 255)
+                if near[node] == 1:
+                    near[node] = min(far, 255)
                     fresh.append(node)
                 e = after[e]
         frontier = fresh
-    return bytes(reach)
+    return near
 
 
-def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool,
-          shortest: int, bound: int, room: int | None = None,
-          reach: bytes | None = None) -> tuple[list[Word], bool]:
+def _reaches(graph: CayleyGraph, start: int, emit: bytes | bytearray) -> bool:
+    """Whether a nonempty path leads from start to a node set in emit.
+
+    Every node but 0 is a product of generators and so is reached from
+    node 0; node 0 is reached again exactly when a word realizes the
+    identity. From other starts this is one breadth-first walk.
+    """
+    if start == 0:  # some node after 0 is set, or 0 is set and realized
+        return len(emit.rstrip(b"\0")) > 1 or bool(emit[0] and graph.contains_identity)
+    successors = graph.successors
+    reached = bytearray(graph.size)
+    reached[start] = 1
+    queue = [start]
+    for node in queue:
+        for nxt in successors(node):
+            if emit[nxt]:
+                return True
+            if not reached[nxt]:
+                reached[nxt] = 1
+                queue.append(nxt)
+    return False
+
+
+def _guide(graph: CayleyGraph, start: int, first: bytes, goal: Hashable, bound: int,
+           keyof: Callable[[bytes], Hashable] = frozenset) -> tuple[bytearray, tuple]:
+    """The forward orbit of the state set `first` under the generators, as
+    far as a walk of at most `bound` letters from start can use it.
+
+    A letter moves every member of a set, and keyof(members) names the
+    set: frozenset for plain sets, or a key that pairs each member with a
+    fixed second (the i-th member with seconds[i]), so that the sets are
+    sets of pairs; when the seconds are all distinct, the members in order
+    (bytes) are such a key. A set smaller than the goal set, or one in
+    which a member has two seconds, is dropped.
+
+    Returns the walk's nearness mask, 0 but at start, and its guide (rows,
+    far, ids), with ids mapping start to set 0. Set 0 is `first` and the
+    others follow in breadth-first order; rows[i][letter] is the set that
+    the letter maps set i onto, for each set i that a path of fewer than
+    `bound` letters reaches, and -1 for a dropped set, or one other than
+    the goal set first reached at the bound. far[i] is 2 + the fewest
+    letters of a word mapping set i onto the goal set, or 1 when no path
+    through set i can reach the goal set within the bound; far[-1] is 1.
+    """
+    tables = graph.presentation.tables
+    least = len(goal)
+    index = {keyof(first): 0}
+    get = index.get
+    sets = [first]
+    depths = [0]
+    before: list[list[int]] = [[]]  # before[g]: the sets with an edge into g
+    rows = []
+    for i, members in enumerate(sets):  # grows while it is read
+        deeper = depths[i] + 1
+        if deeper > bound:
+            break
+        row = []
+        for table in tables:
+            image = members.translate(table)
+            key = keyof(image)
+            g = get(key)
+            if g is None:
+                if (len(key) < least or len(set(image)) < len(key)
+                        or (deeper == bound and key != goal)):
+                    g = -1
+                else:
+                    g = len(sets)
+                    sets.append(image)
+                    depths.append(deeper)
+                    before.append([])
+                index[key] = g
+            if g >= 0:
+                before[g].append(i)
+            row.append(g)
+        rows.append(row)
+    # breadth first from the goal set over the reversed edges; a set enters
+    # only when a path meeting it can still reach the goal set in time
+    far = bytearray(b"\x01") * (len(sets) + 1)
+    frontier = [index[goal]] if goal in index else []
+    if frontier:
+        far[frontier[0]] = 2
+    letters = 0
+    while frontier:
+        letters += 1
+        fresh = []
+        for g in frontier:
+            for i in before[g]:
+                if far[i] == 1 and depths[i] + letters <= bound:
+                    far[i] = min(letters + 2, 255)
+                    fresh.append(i)
+        frontier = fresh
+    near = bytearray(graph.size)
+    near[start] = far[0]
+    return near, (rows, far, {start: 0})
+
+
+def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
+          minimal: bool, shortest: int, bound: int,
+          room: int | None = None) -> tuple[list[Word], bool]:
     """One depth-first pass, in letter order, over the straight paths from
     start of at most bound edges.
 
@@ -191,20 +344,23 @@ def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool
     order, and whether some path was cut at the bound. Each word goes into
     the bucket of its length, which depth-first order fills in letter
     order. A pass over one length (shortest == bound) stops once it holds
-    room words. Each node on the path reads its successor row once. With
-    a reach mask (see `_reach`) the pass never enters a node that cannot
-    reach an emitting node, and it cuts a path at a node whose nearest
-    emitting node lies beyond the bound.
+    room words. Each node on the path reads its successor row once. `near`
+    holds each node's nearness (see the module docstring). A guided search
+    passes the guide from `_guide`, whose ids map each node seen to its
+    set; a nearness of 0 is not yet known, and the walk reads it from the
+    guide the first time it sees the node. Other searches pass _NO_GUIDE
+    and no 0 bytes.
     """
     successors = graph.successors
-    loop = emit[start]
+    rows, far, ids = guide
+    closing = 2 if near[start] == 2 else 1  # a step back to start emits or is dead
+    limit = bound + 2
     buckets: list[list[Word]] = [[], []]
     cut = False
 
     word: list[int] = []
     path = [start]
-    # unreachable nodes count as visited from the start, so no step enters one
-    visited = bytearray(graph.size) if reach is None else bytearray(reach.translate(_ZERO))
+    visited = bytearray(len(near))
     visited[start] = 1
     pending = [iter(enumerate(successors(start)))]
     while pending:
@@ -212,19 +368,28 @@ def _walk(graph: CayleyGraph, start: int, emit: bytes | bytearray, minimal: bool
         bucket = buckets[depth]
         descended = False
         for letter, nxt in pending[-1]:
-            if nxt == start:
-                hit = loop
-            elif visited[nxt]:
-                continue
+            if visited[nxt]:
+                if nxt != start:
+                    continue
+                f = closing
             else:
-                hit = emit[nxt]
-            if hit and depth >= shortest:
-                bucket.append(tuple(word) + (letter,))
-                if len(bucket) == room:
-                    return bucket, True
-            if nxt == start or (minimal and hit):
-                continue
-            if depth == bound or (reach and depth + reach[nxt] > bound + 1):
+                f = near[nxt]
+                if not f:  # first seen: its set is its parent's set moved by the letter
+                    g = ids[nxt] = rows[ids[path[-1]]][letter]
+                    f = near[nxt] = far[g]
+            if f < 3:
+                if f < 2:
+                    continue
+                if depth >= shortest:
+                    bucket.append(tuple(word) + (letter,))
+                    if len(bucket) == room:
+                        return bucket, True
+                if minimal or nxt == start:
+                    continue
+                if depth == bound:
+                    cut = True
+                    continue
+            elif depth + f > limit:  # the nearest emitting node lies beyond the bound
                 cut = True
                 continue
             visited[nxt] = 1
@@ -251,7 +416,8 @@ def all_straight_words(graph: CayleyGraph, target: int | None = None,
     given or the target is node 0.
     """
     if target is None:
-        return search(graph, 0, b"\x01" * graph.size, limits)
+        limits, max_len = _length_bound(graph, 0, limits)
+        return _deepen(graph, 0, b"\x02" * graph.size, _NO_GUIDE, limits, max_len, False)
     return straight_paths(graph, 0, target, limits)
 
 
@@ -262,38 +428,51 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     With start == goal the results are the simple cycles returning to the
     start on their final step; otherwise a path never revisits a node.
     Starting at node 0 this coincides with all_straight_words(target=goal).
+    A path ends at goal, since it can never come back there. A walk long
+    enough to pay for it is guided by the orbit of the pairs
+    (start(x), goal(x)).
     """
+    limits, max_len = _length_bound(graph, start, limits)
     if not 0 <= goal < graph.size:
         raise ValueError(f"goal node {goal} is outside 0..{graph.size - 1}")
-    emit = bytearray(graph.size)
-    emit[goal] = 1
-    return search(graph, start, emit, limits)
-
-
-def _reaches(graph: CayleyGraph, start: int, emit: bytes | bytearray) -> bool:
-    """Whether a nonempty path leads from start to a node set in emit.
-
-    Every node but 0 is a product of generators and so is reached from
-    node 0; node 0 is reached again exactly when a word realizes the
-    identity. From other starts this is one breadth-first walk.
-    """
-    if start == 0:  # some node after 0 is set, or 0 is set and realized
-        return len(emit.rstrip(b"\0")) > 1 or bool(emit[0] and graph.contains_identity)
-    successors = graph.successors
-    reached = bytearray(graph.size)
-    reached[start] = 1
-    queue = [start]
-    for node in queue:
-        for nxt in successors(node):
-            if emit[nxt]:
-                return True
-            if not reached[nxt]:
-                reached[nxt] = 1
-                queue.append(nxt)
-    return False
+    if not _worth_a_guide(graph.num_letters, max_len):
+        near = bytearray(b"\x03") * graph.size
+        near[goal] = 2
+        return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True)
+    seconds = graph.images(goal)
+    # when goal keeps all states apart, a node's map in state order names its pairs
+    if len(set(seconds)) == len(seconds):
+        near, guide = _guide(graph, start, graph.images(start), seconds, max_len, bytes)
+    else:
+        near, guide = _guide(graph, start, graph.images(start),
+                             frozenset(zip(seconds, seconds)), max_len,
+                             lambda members: frozenset(zip(members, seconds)))
+    return _deepen(graph, start, near, guide, limits, max_len, True)
 
 
 def straight_permutator_words(graph: CayleyGraph, states: Sequence[int],
                               limits: SearchLimits | None = None) -> WordSearch:
     """Straight words whose realization permutes the given state set."""
-    return search(graph, 0, permuting(graph, states), limits)
+    return permutator_search(graph, states, limits)
+
+
+def permutator_search(graph: CayleyGraph, states: Sequence[int],
+                      limits: SearchLimits | None = None,
+                      minimal: bool = False) -> WordSearch:
+    """Straight words permuting the state set. With minimal, a path stops
+    at its first permuting node, which gives the minimal straight
+    permutators. A walk long enough to pay for it is guided by the set's
+    orbit; a shorter one reads the `permuting` mask."""
+    limits, max_len = _length_bound(graph, 0, limits)
+    if not _worth_a_guide(graph.num_letters, max_len):
+        near = permuting(graph, states).translate(_UNKNOWN)
+        return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal)
+    members = bytes(sorted(stateset(states, graph.presentation.n)))
+    near, guide = _guide(graph, 0, members, frozenset(members), max_len)
+    return _deepen(graph, 0, near, guide, limits, max_len, minimal)
+
+
+def _worth_a_guide(k: int, bound: int) -> bool:
+    """Whether a walk of at most `bound` letters over k letters may enter
+    more than _GUIDE_COST nodes: k + k^2 + ... + k^(bound - 1) of them."""
+    return bound > _GUIDE_COST + 1 or (k > 1 and (k ** bound - k) // (k - 1) > _GUIDE_COST)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from strayt import (Presentation, SearchLimits,
                     parse_linear, permutes, permuting, search, straight_paths,
                     straight_permutator_words)
 
+from strayt.straightwords import _worth_a_guide
 from test_cayley import deep_presentation, oracle_is_straight
 from test_permutator import mixed_graphs, random_graphs
 
@@ -292,6 +294,28 @@ class TestStraightPaths:
         assert time.perf_counter() - t0 < 1.0
         assert words_of(deep, result) == {"ba"} and not result.truncated
 
+    def test_uncapped_search_keeps_to_paths_that_reach_the_goal(self, deep):
+        # the one straight word to node 5 is "ba"; without a cap, the walk
+        # must still skip every path whose image set cannot reach node 5's
+        t0 = time.perf_counter()
+        result = straight_paths(deep, 0, 5)
+        assert time.perf_counter() - t0 < 0.5
+        assert result.words == ((1, 0),) and not result.truncated
+
+    def test_p53_capped_target_matches_the_unguided_search(self, p53):
+        # a target 28 letters deep: image sets alone would keep most of the
+        # graph live, the pairs (x, t(x)) keep only the nodes that reach it
+        graph = p53.graph
+        target = graph.walk(p53.a + p53.b)
+        limits = SearchLimits(max_results=5)
+        t0 = time.perf_counter()
+        result = all_straight_words(graph, target, limits)
+        assert time.perf_counter() - t0 < 0.5
+        emit = bytearray(graph.size)
+        emit[target] = 1
+        assert result == search(graph, 0, emit, limits)
+        assert [len(w) for w in result] == [28] * 5 and result.truncated
+
     def test_distances_beyond_254_stay_reachable(self):
         # one loop word, of 272 letters: a cycle of 16 states and one of 17
         cycles = list(range(2, 17)) + [1] + list(range(18, 34)) + [17]
@@ -341,6 +365,69 @@ class TestMinimalStraightPermutators:
         assert words_of(ex4, code) == {"c", "bac"} and not code.truncated
         cut = minimal_straight_permutators(ex4, {1, 2}, SearchLimits(max_results=1))
         assert words_of(ex4, cut) == {"c"} and cut.truncated
+
+
+    def test_p53_code_matches_the_unguided_search(self, p53):
+        # the orbit of {3,5,8} guides the walk; `search` on the permuting
+        # mask is trimmed by the reverse breadth-first pass instead
+        graph, states = p53.graph, {3, 5, 8}
+        limits = SearchLimits(max_length=9)
+        t0 = time.perf_counter()
+        code = minimal_straight_permutators(graph, states, limits)
+        first = minimal_straight_permutators(graph, states, SearchLimits(max_results=3))
+        assert time.perf_counter() - t0 < 0.5
+        assert len(code) == 91 and not code.truncated
+        assert code == search(graph, 0, permuting(graph, states), limits, minimal=True)
+        assert first.words == code.words[:3] and first.truncated
+
+
+def guided_searches(graph, rng):
+    """(run, start, emit, minimal) for each guided search on one graph, with
+    the emit mask and minimal flag that `search` needs to give the same
+    words: the straight permutator words and the minimal permutators of a
+    random set of every size, and the straight paths to a random goal from
+    node 0 and from two random starts."""
+    n, size = graph.presentation.n, graph.size
+    cases = []
+    for count in range(1, n + 1):
+        states = rng.sample(range(1, n + 1), count)
+        mask = permuting(graph, states)
+        cases.append((partial(straight_permutator_words, graph, states), 0, mask, False))
+        cases.append((partial(minimal_straight_permutators, graph, states), 0, mask, True))
+    for start in (0, rng.randrange(size), rng.randrange(size)):
+        goal = rng.randrange(size)
+        emit = bytearray(size)
+        emit[goal] = 1
+        run = (partial(all_straight_words, graph, goal) if start == 0
+               else partial(straight_paths, graph, start, goal))
+        cases.append((run, start, emit, False))
+    return cases
+
+
+class TestGuidedSearches:
+    def test_match_the_unguided_search_under_every_cap(self):
+        # no cap where the straight paths from the start are few, length
+        # caps everywhere, and result caps one below and equal to the count
+        rng = random.Random(53)
+        kinds = set()
+        for graph in random_graphs(59, 120) + mixed_graphs(61, 60):
+            for run, start, emit, minimal in guided_searches(graph, rng):
+                few = not search(graph, start, b"\x01" * graph.size,
+                                 SearchLimits(max_results=300)).truncated
+                caps = [SearchLimits(max_length=length) for length in (1, 3, 6)]
+                for limits in caps + [None] * few:
+                    want = search(graph, start, emit, limits, minimal)
+                    assert run(limits) == want, (run, limits)
+                    length = limits and limits.max_length
+                    bound = min(length or graph.size, graph.size)
+                    guided = _worth_a_guide(graph.num_letters, bound)
+                    for cap in {max(len(want) - 1, 1), max(len(want), 1)}:
+                        capped = SearchLimits(length, cap)
+                        want = search(graph, start, emit, capped, minimal)
+                        assert run(capped) == want, (run, capped)
+                        kinds.add((run.func.__name__, guided, want.truncated))
+        # every search, guided or not, with a result cap that cut it or not
+        assert len(kinds) == 16
 
 
 class TestPermutingMask:

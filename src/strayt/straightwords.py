@@ -31,15 +31,18 @@ only in where the bytes come from:
   v maps Y·u onto Y; sets smaller than Y are dropped, since images never
   grow. For t the set of u is the pairs (u(x), t(x)), one per state x,
   and a letter moves the first of each pair: u·v = t exactly when v maps
-  them onto the pairs (t(x), t(x)); when t keeps all states apart, the
-  map u itself names its pairs. A set in which one first has two seconds
-  is dropped, since u then joins two states that t keeps apart.
+  them onto the pairs (t(x), t(x)). A set in which one first has two
+  seconds is dropped, since u then joins two states that t keeps apart.
   Both distances are exact, so a node emits exactly when its set is the
-  goal set. A walk too short to pay for its guide (`_worth_a_guide`)
-  goes unguided, every node that does not emit at nearness 3: the
-  permutators of Y come from the `permuting` mask, which builds them
-  from the graph's state columns without a Python loop over nodes, and t
-  is the only emitting node.
+  goal set. When t keeps all states apart, its pairs name the node u
+  itself, so the orbit is as large as the part of the graph it covers
+  and costs more per edge than `_reach`: such a goal goes to `search`,
+  with t as the only emitting node;
+- a walk too short to pay for a guide, on a graph of few edges or under
+  a tight length bound (`_worth_a_guide`): every node that does not emit
+  reads 3, the permutators of Y coming from the `permuting` mask, which
+  builds them from the graph's state columns without a Python loop over
+  nodes.
 
 A path to a goal node ends there, since it can never come back. The walk
 reads one successor row per node it enters and keeps its visited nodes
@@ -68,7 +71,10 @@ _UNKNOWN = bytes([3] + [2] * 255)
 # Before it saves anything, a guide costs about what an unguided walk
 # through this many nodes costs: a few microseconds to set up, then 3 to 4
 # walk steps per set image (measured on 330 seeded census presentations).
-# A walk that can enter no more nodes goes unguided.
+# A walk that can enter no more nodes goes unguided, and so does every walk
+# on a graph of no more edges: there the straight paths a guide spares
+# were too few to pay for it (on the seeded small census, guides on such
+# graphs slowed the median complete search by 6 to 136 percent).
 _GUIDE_COST = 32
 
 
@@ -151,7 +157,8 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     reversed edges finds (`_reach`); that pass reads every edge of the
     graph, so a search without the cap walks untrimmed instead. The
     permutator and goal searches trim either way, from the orbit of a
-    state set.
+    state set, but for a goal that keeps all states apart, which comes
+    here.
     """
     limits, max_len = _length_bound(graph, start, limits)
     if len(emit) != graph.size:
@@ -267,11 +274,10 @@ def _guide(graph: CayleyGraph, start: int, first: bytes, goal: Hashable, bound: 
     far as a walk of at most `bound` letters from start can use it.
 
     A letter moves every member of a set, and keyof(members) names the
-    set: frozenset for plain sets, or a key that pairs each member with a
-    fixed second (the i-th member with seconds[i]), so that the sets are
-    sets of pairs; when the seconds are all distinct, the members in order
-    (bytes) are such a key. A set smaller than the goal set, or one in
-    which a member has two seconds, is dropped.
+    set: frozenset for plain sets, or the frozenset of pairs that matches
+    each member with a fixed second (the i-th member with seconds[i]). A
+    set smaller than the goal set, or one in which a member has two
+    seconds, is dropped.
 
     Returns the walk's nearness mask, 0 but at start, and its guide (rows,
     far, ids), with ids mapping start to set 0. Set 0 is `first` and the
@@ -430,23 +436,22 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     Starting at node 0 this coincides with all_straight_words(target=goal).
     A path ends at goal, since it can never come back there. A walk long
     enough to pay for it is guided by the orbit of the pairs
-    (start(x), goal(x)).
+    (start(x), goal(x)), unless goal keeps all states apart.
     """
     limits, max_len = _length_bound(graph, start, limits)
     if not 0 <= goal < graph.size:
         raise ValueError(f"goal node {goal} is outside 0..{graph.size - 1}")
-    if not _worth_a_guide(graph.num_letters, max_len):
+    if not _worth_a_guide(graph, max_len):
         near = bytearray(b"\x03") * graph.size
         near[goal] = 2
         return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True)
     seconds = graph.images(goal)
-    # when goal keeps all states apart, a node's map in state order names its pairs
     if len(set(seconds)) == len(seconds):
-        near, guide = _guide(graph, start, graph.images(start), seconds, max_len, bytes)
-    else:
-        near, guide = _guide(graph, start, graph.images(start),
-                             frozenset(zip(seconds, seconds)), max_len,
-                             lambda members: frozenset(zip(members, seconds)))
+        emit = bytearray(graph.size)
+        emit[goal] = 1
+        return search(graph, start, emit, limits, True)
+    near, guide = _guide(graph, start, graph.images(start), frozenset(zip(seconds, seconds)),
+                         max_len, lambda members: frozenset(zip(members, seconds)))
     return _deepen(graph, start, near, guide, limits, max_len, True)
 
 
@@ -464,7 +469,7 @@ def permutator_search(graph: CayleyGraph, states: Sequence[int],
     permutators. A walk long enough to pay for it is guided by the set's
     orbit; a shorter one reads the `permuting` mask."""
     limits, max_len = _length_bound(graph, 0, limits)
-    if not _worth_a_guide(graph.num_letters, max_len):
+    if not _worth_a_guide(graph, max_len):
         near = permuting(graph, states).translate(_UNKNOWN)
         return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal)
     members = bytes(sorted(stateset(states, graph.presentation.n)))
@@ -472,7 +477,12 @@ def permutator_search(graph: CayleyGraph, states: Sequence[int],
     return _deepen(graph, 0, near, guide, limits, max_len, minimal)
 
 
-def _worth_a_guide(k: int, bound: int) -> bool:
-    """Whether a walk of at most `bound` letters over k letters may enter
-    more than _GUIDE_COST nodes: k + k^2 + ... + k^(bound - 1) of them."""
+def _worth_a_guide(graph: CayleyGraph, bound: int) -> bool:
+    """Whether a walk of at most `bound` letters may pay for a guide: the
+    graph has more than _GUIDE_COST edges, and the walk may enter more
+    than _GUIDE_COST nodes, k + k^2 + ... + k^(bound - 1) of them over k
+    letters."""
+    k = graph.num_letters
+    if graph.size * k <= _GUIDE_COST:
+        return False
     return bound > _GUIDE_COST + 1 or (k > 1 and (k ** bound - k) // (k - 1) > _GUIDE_COST)

@@ -12,7 +12,6 @@ from strayt import (Presentation, SearchLimits,
                     parse_linear, permutes, permuting, search, straight_paths,
                     straight_permutator_words)
 
-from strayt.straightwords import _worth_a_guide
 from test_cayley import deep_presentation, oracle_is_straight
 from test_permutator import mixed_graphs, random_graphs
 
@@ -323,6 +322,36 @@ class TestStraightPaths:
         assert graph.size == 272
         result = straight_paths(graph, 0, 0, SearchLimits(max_results=1))
         assert result.words == ((0,) * 272,) and not result.truncated
+        # the same cycles, with a state sent onto the first: node 1 (the map
+        # a) joins two states, so the orbit of pairs guides the search
+        graph = enumerate_semigroup(Presentation(34, [("a", Transformation(cycles + [1]))]))
+        result = straight_paths(graph, 1, 1, SearchLimits(max_results=1))
+        assert result.words == ((0,) * 272,) and not result.truncated
+
+    def test_goal_that_keeps_states_apart_costs_no_more_than_search(self):
+        # in a group every pair set names one node, so an orbit of pairs is
+        # as large as the graph: the search must cost what `search` on the
+        # goal mask costs (an orbit of pairs took five times as long here)
+        swap, cycle = Transformation([2, 1, 3, 4, 5, 6, 7]), Transformation([2, 3, 4, 5, 6, 7, 1])
+        graph = enumerate_semigroup(Presentation(7, [("s", swap), ("c", cycle)]))
+        assert graph.size == 5040
+        limits = SearchLimits(max_results=3)
+        for word in [(0, 1, 1, 0, 1), (1,) * 6, (0, 1) * 7]:
+            goal = graph.walk(word)
+            emit = bytearray(graph.size)
+            emit[goal] = 1
+            timed = []
+            for run in (partial(all_straight_words, graph, goal, limits),
+                        partial(search, graph, 0, emit, limits)):
+                times = []
+                for _ in range(3):
+                    t0 = time.perf_counter()
+                    result = run()
+                    times.append(time.perf_counter() - t0)
+                timed.append((min(times), result))
+            (mine, got), (plain, want) = timed
+            assert got == want and len(got) == 3 and got.truncated
+            assert mine < 2 * plain + 0.005, (word, mine, plain)
 
 
 class TestSearchArguments:
@@ -407,7 +436,9 @@ def guided_searches(graph, rng):
 class TestGuidedSearches:
     def test_match_the_unguided_search_under_every_cap(self):
         # no cap where the straight paths from the start are few, length
-        # caps everywhere, and result caps one below and equal to the count
+        # caps everywhere, and result caps one below and equal to the count;
+        # a one-letter cap walks too few nodes to be guided, while searches
+        # without a length cap on all but the smallest graphs are guided
         rng = random.Random(53)
         kinds = set()
         for graph in random_graphs(59, 120) + mixed_graphs(61, 60):
@@ -419,15 +450,13 @@ class TestGuidedSearches:
                     want = search(graph, start, emit, limits, minimal)
                     assert run(limits) == want, (run, limits)
                     length = limits and limits.max_length
-                    bound = min(length or graph.size, graph.size)
-                    guided = _worth_a_guide(graph.num_letters, bound)
                     for cap in {max(len(want) - 1, 1), max(len(want), 1)}:
                         capped = SearchLimits(length, cap)
                         want = search(graph, start, emit, capped, minimal)
                         assert run(capped) == want, (run, capped)
-                        kinds.add((run.func.__name__, guided, want.truncated))
-        # every search, guided or not, with a result cap that cut it or not
-        assert len(kinds) == 16
+                        kinds.add((run.func.__name__, want.truncated))
+        # every search, with a result cap that cut it or not
+        assert len(kinds) == 8
 
 
 class TestPermutingMask:

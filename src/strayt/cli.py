@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Presentation, StraytError
+from .core import Presentation, StraytError, Transformation
 from .notation import NotationError, parse_images, parse_linear, print_linear
 from .cayley import (MAX_STATES, CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
                      enumerate_semigroup)
@@ -110,18 +110,23 @@ def load_presentation(path) -> Presentation:
         try:
             if name.startswith("@"):  # `@name` on the command line is a word alias
                 raise ValueError(f"generator name {name!r} starts with '@'")
-            if value.startswith("images:"):
-                t = parse_images(value[len("images:"):])
-                if t.n != n:
-                    raise NotationError(f"image list has {t.n} entries, expected {n}")
-            else:
-                t = parse_linear(value, n)
+            t = _parse_map(value, n)
         except (NotationError, ValueError) as exc:
             raise PresentationFileError(path, line_no, str(exc)) from None
         generators.append((name, t))
     if not generators:
         raise PresentationFileError(path, 0, "no generators defined")
     return Presentation(n, generators)
+
+
+def _parse_map(text: str, n: int) -> Transformation:
+    """A map on n states, as `images: i1 ... in` or as a linear form."""
+    if not text.startswith("images:"):
+        return parse_linear(text, n)
+    t = parse_images(text[len("images:"):])
+    if t.n != n:
+        raise NotationError(f"image list has {t.n} entries, expected {n}")
+    return t
 
 
 def sidecar_path(path) -> Path:
@@ -153,12 +158,9 @@ def parse_cli_word(p: Presentation, text: str,
 def _resolve_target(graph: CayleyGraph, text: str, aliases: dict[str, str]) -> int:
     """Turn a target argument (word, linear form, or image list) into a node."""
     text = text.strip()
-    if text.startswith("images:"):
-        s = parse_images(text[len("images:"):])
-    elif not text or text[0].isdigit() or text[0] in "[(":
-        s = parse_linear(text, graph.presentation.n)
-    else:
+    if text and not (text.startswith("images:") or text[0].isdigit() or text[0] in "[("):
         return graph.walk(parse_cli_word(graph.presentation, text, aliases))
+    s = _parse_map(text, graph.presentation.n)
     node = graph.element_index(s)
     if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
         raise NotInSemigroup(f"{s!r} is not generated by the presentation")

@@ -17,9 +17,8 @@ beyond the bound. Every search trims this one way; the searches differ
 only in where the bytes come from:
 
 - every straight word: every node emits;
-- `search`, with a caller's emit mask: a breadth-first pass over the
-  reversed edges (`_reach`) when max_results caps the search; without
-  the cap every node that does not emit reads 3;
+- `search`, with a caller's emit mask: the nodes themselves, reached
+  from the start by a forward breadth-first pass over the graph's edges;
 - the permutators of a state set Y, and the paths to a goal node t: a
   guide, the forward orbit of one state set under the generators' action
   on subsets (Linton, Pfeiffer, Robertson and Ruskuc, Computing
@@ -36,13 +35,18 @@ only in where the bytes come from:
   Both distances are exact, so a node emits exactly when its set is the
   goal set. When t keeps all states apart, its pairs name the node u
   itself, so the orbit is as large as the part of the graph it covers
-  and costs more per edge than `_reach`: such a goal goes to `search`,
-  with t as the only emitting node;
+  and an orbit edge costs more than a graph edge: such a goal goes to
+  `search`, with t as the only emitting node;
 - a walk too short to pay for a guide, on a graph of few edges or under
   a tight length bound (`_worth_a_guide`): every node that does not emit
   reads 3, the permutators of Y coming from the `permuting` mask, which
   builds them from the graph's state columns without a Python loop over
   nodes.
+
+`search` and the guides go forward only as deep as the length bound
+allows, and then take distances back from the goals in one reverse
+breadth-first pass (`_distances`), which a point enters only when a path
+within the bound can meet it on the way to a goal.
 
 A path to a goal node ends there, since it can never come back. The walk
 reads one successor row per node it enters and keeps its visited nodes
@@ -53,7 +57,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .core import stateset
@@ -64,9 +67,7 @@ Word = tuple[int, ...]
 # _ALL_SET[g] maps a byte to 1 exactly when its low g bits are all set
 _ALL_SET = [bytes(int(b & ((1 << g) - 1) == (1 << g) - 1) for b in range(256))
             for g in range(9)]
-# translate tables from an emit mask to nearness, every nonzero byte to 2:
-# _EMITS maps 0 to 1 (until reached), _UNKNOWN maps 0 to 3 (not emitting)
-_EMITS = bytes([1] + [2] * 255)
+# translates an emit mask to nearness: 0 to 3 (not emitting), the rest to 2
 _UNKNOWN = bytes([3] + [2] * 255)
 # Before it saves anything, a guide costs about what an unguided walk
 # through this many nodes costs: a few microseconds to set up, then 3 to 4
@@ -151,24 +152,47 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     emitting proper prefix. The result is truncated only when a word beyond
     max_results exists within the length bound. A start outside
     0..size-1, or a mask that is not one byte per node, raises ValueError.
-    A search that can reach no emitting node ends at once. With
-    max_results, the walk enters only nodes from which an emitting node
-    lies within the length left, as one breadth-first pass over the
-    reversed edges finds (`_reach`); that pass reads every edge of the
-    graph, so a search without the cap walks untrimmed instead. The
-    permutator and goal searches trim either way, from the orbit of a
-    state set, but for a goal that keeps all states apart, which comes
-    here.
+
+    The walk enters only nodes from which an emitting node lies within the
+    length left. A breadth-first pass goes forward from start one letter
+    at a time, as far as the length bound, until a level is empty; with
+    minimal it goes no further than an emitting node, since no minimal
+    path passes one. It notes each node's depth when it first sees the
+    node and keeps each edge it crosses reversed; the distances back from
+    the emitting nodes it met (`_distances`) are the walk's nearness.
     """
     limits, max_len = _length_bound(graph, start, limits)
-    if len(emit) != graph.size:
-        raise ValueError(f"emit mask has {len(emit)} bytes, expected {graph.size}")
-    if limits.max_results is not None:
-        near = _reach(graph, emit, max_len)
-    elif _reaches(graph, start, emit):
-        near = emit.translate(_UNKNOWN)
-    else:
-        return WordSearch(())
+    size, k = graph.size, graph.num_letters
+    if len(emit) != size:
+        raise ValueError(f"emit mask has {len(emit)} bytes, expected {size}")
+    successors = graph.successors
+    depths = array("i", [-1]) * size
+    first = array("i", [-1]) * size
+    after = array("i", [-1]) * (size * k)
+    depths[start] = 0
+    goals = [start] if emit[start] else []
+    level = [start]
+    for depth in range(1, max_len + 1):  # depth: that of the nodes level leads to
+        fresh = []
+        for node in level:
+            e = node * k
+            for nxt in successors(node):
+                after[e] = f = first[nxt]
+                first[nxt] = e
+                e += 1
+                if f < 0 and nxt != start:  # the first edge into nxt
+                    depths[nxt] = depth
+                    if emit[nxt]:
+                        goals.append(nxt)
+                        if minimal:
+                            continue
+                    fresh.append(nxt)
+        if not fresh:
+            break
+        level = fresh
+    near = bytearray(b"\x01") * size
+    _distances(near, goals, first, after, k, depths, max_len)
+    del depths, first, after  # 4 bytes per edge and 8 per node, which the walk never reads
     return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, minimal)
 
 
@@ -207,70 +231,42 @@ def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tupl
     return WordSearch(tuple(found[:cap]), truncated=len(found) > cap)
 
 
-def _reach(graph: CayleyGraph, emit: bytes | bytearray, bound: int) -> bytearray:
-    """Nearness of every node to the nodes set in emit, counting only
-    emitting nodes within bound - 1 edges.
+def _distances(near: bytearray, goals: list[int], first: Sequence[int], after: Sequence[int],
+               k: int, depths: Sequence[int], bound: int) -> None:
+    """Write into near, which reads 1 at every point on entry, each point's
+    nearness (see the module docstring): 2 at a goal, 2 + d at a point d
+    edges before its nearest goal, and 1 left where no path of at most
+    `bound` letters from the start meets a goal through the point.
 
-    One breadth-first pass over the reversed edges, which are kept as
-    linked lists in two flat arrays: first[w] is the last edge into w and
-    after[e] the edge into the same node before e, -1 ending a list; edge
-    e leaves node e // k. Nearness above 254 reads as 255, a lower bound
+    One breadth-first pass from the goals over the reversed edges, which
+    are kept as linked lists in two flat arrays: first[w] is the last edge
+    into w and after[e] the edge into the same point before e, -1 ending a
+    list; edge e leaves point e // k. A point enters d edges back only
+    when depths[point] + d <= bound, its depth being the fewest letters
+    from the start to it. Nearness above 254 reads as 255, a lower bound
     that never reads as unreachable.
     """
-    size, k = graph.size, graph.num_letters
-    successors = graph.successors
-    first = array("i", [-1]) * size
-    after = array("i", [-1]) * (size * k)
-    e = 0
-    for node in range(size):
-        for nxt in successors(node):
-            after[e] = first[nxt]
-            first[nxt] = e
-            e += 1
-    near = bytearray(emit.translate(_EMITS))
-    frontier = list(compress(range(size), emit))
-    far = 2
-    while frontier and far <= bound:
-        far += 1
+    for goal in goals:
+        near[goal] = 2
+    frontier = goals
+    letters = 0
+    while frontier:
+        letters += 1
         fresh = []
         for nxt in frontier:
             e = first[nxt]
             while e >= 0:
-                node = e // k
-                if near[node] == 1:
-                    near[node] = min(far, 255)
-                    fresh.append(node)
+                point = e // k
+                if near[point] == 1 and depths[point] + letters <= bound:
+                    near[point] = min(letters + 2, 255)
+                    fresh.append(point)
                 e = after[e]
         frontier = fresh
-    return near
 
 
-def _reaches(graph: CayleyGraph, start: int, emit: bytes | bytearray) -> bool:
-    """Whether a nonempty path leads from start to a node set in emit.
-
-    Every node but 0 is a product of generators and so is reached from
-    node 0; node 0 is reached again exactly when a word realizes the
-    identity. From other starts this is one breadth-first walk.
-    """
-    if start == 0:  # some node after 0 is set, or 0 is set and realized
-        return len(emit.rstrip(b"\0")) > 1 or bool(emit[0] and graph.contains_identity)
-    successors = graph.successors
-    reached = bytearray(graph.size)
-    reached[start] = 1
-    queue = [start]
-    for node in queue:
-        for nxt in successors(node):
-            if emit[nxt]:
-                return True
-            if not reached[nxt]:
-                reached[nxt] = 1
-                queue.append(nxt)
-    return False
-
-
-def _guide(graph: CayleyGraph, start: int, first: bytes, goal: Hashable, bound: int,
+def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: int,
            keyof: Callable[[bytes], Hashable] = frozenset) -> tuple[bytearray, tuple]:
-    """The forward orbit of the state set `first` under the generators, as
+    """The forward orbit of the state set `seed` under the generators, as
     far as a walk of at most `bound` letters from start can use it.
 
     A letter moves every member of a set, and keyof(members) names the
@@ -280,7 +276,7 @@ def _guide(graph: CayleyGraph, start: int, first: bytes, goal: Hashable, bound: 
     seconds, is dropped.
 
     Returns the walk's nearness mask, 0 but at start, and its guide (rows,
-    far, ids), with ids mapping start to set 0. Set 0 is `first` and the
+    far, ids), with ids mapping start to set 0. Set 0 is `seed` and the
     others follow in breadth-first order; rows[i][letter] is the set that
     the letter maps set i onto, for each set i that a path of fewer than
     `bound` letters reaches, and -1 for a dropped set, or one other than
@@ -290,11 +286,12 @@ def _guide(graph: CayleyGraph, start: int, first: bytes, goal: Hashable, bound: 
     """
     tables = graph.presentation.tables
     least = len(goal)
-    index = {keyof(first): 0}
+    index = {keyof(seed): 0}
     get = index.get
-    sets = [first]
+    sets = [seed]
     depths = [0]
-    before: list[list[int]] = [[]]  # before[g]: the sets with an edge into g
+    first: list[int] = [-1]  # the orbit edges reversed, as `_distances` reads them
+    after: list[int] = []
     rows = []
     for i, members in enumerate(sets):  # grows while it is read
         deeper = depths[i] + 1
@@ -313,28 +310,18 @@ def _guide(graph: CayleyGraph, start: int, first: bytes, goal: Hashable, bound: 
                     g = len(sets)
                     sets.append(image)
                     depths.append(deeper)
-                    before.append([])
+                    first.append(-1)
                 index[key] = g
-            if g >= 0:
-                before[g].append(i)
+            if g >= 0:  # edge len(after) leaves set i, as i * k + letter
+                after.append(first[g])
+                first[g] = len(after) - 1
+            else:
+                after.append(-1)
             row.append(g)
         rows.append(row)
-    # breadth first from the goal set over the reversed edges; a set enters
-    # only when a path meeting it can still reach the goal set in time
     far = bytearray(b"\x01") * (len(sets) + 1)
-    frontier = [index[goal]] if goal in index else []
-    if frontier:
-        far[frontier[0]] = 2
-    letters = 0
-    while frontier:
-        letters += 1
-        fresh = []
-        for g in frontier:
-            for i in before[g]:
-                if far[i] == 1 and depths[i] + letters <= bound:
-                    far[i] = min(letters + 2, 255)
-                    fresh.append(i)
-        frontier = fresh
+    _distances(far, [index[goal]] if goal in index else [], first, after, len(tables),
+               depths, bound)
     near = bytearray(graph.size)
     near[start] = far[0]
     return near, (rows, far, {start: 0})

@@ -269,6 +269,15 @@ class TestStraightCommand:
                                  "--target", target)
             assert code == 3 and not out and "not generated" in err, target
 
+    def test_image_list_of_the_wrong_length(self, capsys):
+        # a malformed target, like a malformed generator, is a parse error
+        for target in ("images: 2 1 3", "images: 2 4 4 2 1"):
+            code, out, err = run(capsys, "straight", fixture_path("ex1_monogenic"),
+                                 "--target", target)
+            entries = len(target.split()) - 1
+            assert code == 2 and not out, target
+            assert f"image list has {entries} entries, expected 4" in err
+
     def test_identity_target_when_generated(self, capsys):
         code, out, _ = run(capsys, "straight", fixture_path("ex2_cycle"), "--target", "()")
         assert code == 0 and out == ["ggg\t()"]

@@ -112,7 +112,8 @@ def reference_search(graph, start, emit, limits, minimal=False):
 
 def search_pairs(graph, rng):
     """(search, reference) pairs over the same query, each taking limits:
-    the four searches from node 0 and straight paths from random starts."""
+    the four searches from node 0, straight paths from random starts, and
+    `search` from a random start on a random mask, minimal and not."""
     idempotents = [v for v in range(graph.size)
                    if all(graph.images(v)[x - 1] == x for x in graph.images(v))]
     states = set(graph.images(rng.choice(idempotents)))
@@ -132,6 +133,13 @@ def search_pairs(graph, rng):
         start, goal = rng.randrange(graph.size), rng.randrange(graph.size)
         pairs.append((lambda lim, s=start, t=goal: straight_paths(graph, s, t, lim),
                       lambda lim, s=start, t=goal: reference_search(graph, s, t.__eq__, lim)))
+    density = rng.uniform(0.02, 0.4)
+    mask = bytes(rng.random() < density for _ in range(graph.size))
+    start = rng.randrange(graph.size)
+    for minimal in (False, True):
+        pairs.append((lambda lim, m=minimal: search(graph, start, mask, lim, m),
+                      lambda lim, m=minimal: reference_search(graph, start, mask.__getitem__,
+                                                              lim, m)))
     return pairs
 
 
@@ -300,6 +308,13 @@ class TestStraightPaths:
         result = straight_paths(deep, 0, 5)
         assert time.perf_counter() - t0 < 0.5
         assert result.words == ((1, 0),) and not result.truncated
+        # the same from a caller's mask, which no state set guides
+        emit = bytearray(deep.size)
+        emit[5] = 1
+        t0 = time.perf_counter()
+        result = search(deep, 0, emit, None, minimal=True)
+        assert time.perf_counter() - t0 < 0.5
+        assert result.words == ((1, 0),) and not result.truncated
 
     def test_p53_capped_target_matches_the_unguided_search(self, p53):
         # a target 28 letters deep: image sets alone would keep most of the
@@ -314,6 +329,15 @@ class TestStraightPaths:
         emit[target] = 1
         assert result == search(graph, 0, emit, limits)
         assert [len(w) for w in result] == [28] * 5 and result.truncated
+
+    def test_minimal_search_goes_no_further_than_an_emitting_node(self, p53):
+        # every node emits, so the forward pass ends after one level, long
+        # before the length bound of one letter per node
+        graph = p53.graph
+        t0 = time.perf_counter()
+        result = search(graph, 0, b"\x01" * graph.size, None, minimal=True)
+        assert time.perf_counter() - t0 < 0.1
+        assert result.words == tuple((letter,) for letter in range(9))
 
     def test_distances_beyond_254_stay_reachable(self):
         # one loop word, of 272 letters: a cycle of 16 states and one of 17
@@ -398,7 +422,7 @@ class TestMinimalStraightPermutators:
 
     def test_p53_code_matches_the_unguided_search(self, p53):
         # the orbit of {3,5,8} guides the walk; `search` on the permuting
-        # mask is trimmed by the reverse breadth-first pass instead
+        # mask is trimmed by the graph's own forward and reverse passes
         graph, states = p53.graph, {3, 5, 8}
         limits = SearchLimits(max_length=9)
         t0 = time.perf_counter()
@@ -406,7 +430,11 @@ class TestMinimalStraightPermutators:
         first = minimal_straight_permutators(graph, states, SearchLimits(max_results=3))
         assert time.perf_counter() - t0 < 0.5
         assert len(code) == 91 and not code.truncated
-        assert code == search(graph, 0, permuting(graph, states), limits, minimal=True)
+        mask = permuting(graph, states)
+        t0 = time.perf_counter()
+        assert code == search(graph, 0, mask, limits, minimal=True)
+        assert first == search(graph, 0, mask, SearchLimits(9, 3), minimal=True)
+        assert time.perf_counter() - t0 < 0.2
         assert first.words == code.words[:3] and first.truncated
 
 

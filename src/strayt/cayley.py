@@ -129,15 +129,11 @@ class CayleyGraph:
 
     def trajectory(self, word: Sequence[int]) -> tuple[int, ...]:
         """Nodes realized by the word's prefixes, starting at node 0."""
-        check_word(word, self.num_letters)
-        k = self.num_letters
+        k = self._k
+        check_word(word, k)
         edges = self._edges
         node = 0
-        nodes = [0]
-        for letter in word:
-            node = edges[node * k + letter]
-            nodes.append(node)
-        return tuple(nodes)
+        return (0, *[node := edges[node * k + letter] for letter in word])
 
     def is_straight(self, word: Sequence[int]) -> bool:
         """Trajectory nodes pairwise distinct, allowing one final return to node 0."""

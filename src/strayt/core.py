@@ -90,7 +90,7 @@ _BYTES = bytes(range(256))
 class Presentation:
     """A state count together with an ordered list of named generator maps."""
 
-    __slots__ = ("n", "generators", "tables", "_positions", "_single_char")
+    __slots__ = ("n", "generators", "names", "tables", "_positions", "_single_char")
 
     def __init__(self, n: int, generators: Iterable[tuple[str, Transformation]]) -> None:
         if n < 1:
@@ -111,16 +111,13 @@ class Presentation:
             positions[name] = i
         self.n = n
         self.generators = gens
+        self.names: tuple[str, ...] = tuple(positions)
         # each generator as a bytes.translate table: state x goes to its
         # image, every other byte to itself; a byte holds at most 255 states
         self.tables = tuple(_BYTES[:1] + bytes(t.images) + _BYTES[n + 1:]
                             for _, t in gens) if n < 256 else ()
         self._positions = positions
         self._single_char = all(len(name) == 1 for name in positions)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.generators)
 
     def word(self, text: str) -> tuple[int, ...]:
         """Parse a word written as generator names separated by spaces or dots.
@@ -131,16 +128,16 @@ class Presentation:
         tokens = text.replace(".", " ").split()
         if not tokens:
             raise ValueError("empty word")
-        single = self._single_char
-        letters: list[int] = []
-        for tok in tokens:
-            if tok in self._positions:
-                letters.append(self._positions[tok])
-            elif single and all(ch in self._positions for ch in tok):
-                letters.extend(self._positions[ch] for ch in tok)
-            else:
-                raise ValueError(f"unknown generator name {tok!r}")
-        return tuple(letters)
+        positions = self._positions
+        try:
+            if self._single_char:  # every character of every token is a name
+                return tuple(map(positions.__getitem__, "".join(tokens)))
+            return tuple(map(positions.__getitem__, tokens))
+        except KeyError:
+            # the first token that is neither a name nor a run of single-character names
+            bad = next(tok for tok in tokens if tok not in positions
+                       and not (self._single_char and set(tok) <= positions.keys()))
+            raise ValueError(f"unknown generator name {bad!r}") from None
 
     def format_word(self, word: Sequence[int]) -> str:
         """Render a word with generator names.
@@ -148,11 +145,9 @@ class Presentation:
         Single-character name sets concatenate; anything else joins with
         spaces, so the output is always re-parseable by `word`.
         """
-        check_word(word, len(self.generators))
-        names = [self.generators[letter][0] for letter in word]
-        if self._single_char:
-            return "".join(names)
-        return " ".join(names)
+        names = self.names
+        check_word(word, len(names))  # a negative letter would index from the end
+        return ("" if self._single_char else " ").join(map(names.__getitem__, word))
 
 
 def evaluate(p: Presentation, word: Sequence[int]) -> Transformation:

@@ -32,93 +32,16 @@ class NotationError(StraytError):
     """Malformed linear notation or image list."""
 
 
-_TOKEN = re.compile(r"\s*(\d+|[][(),;])")
+# any run of these characters splits into tokens and whitespace, so a match
+# that ends short of the text ends at the first stray character
+_FORM = re.compile(r"[][\s\d(),;]*")
+_TOKEN = re.compile(r"\d+|[][(),;]")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if not text[pos:].strip():
-                break
-            raise NotationError(f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Reads the components in order; an image is written when its bracket or cycle closes."""
-
-    def __init__(self, tokens: list[str], n: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
-        self.images = list(range(1, n + 1))
-        self.seen: set[int] = set()
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expect: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise NotationError("unexpected end of input")
-        if expect is not None and tok != expect:
-            raise NotationError(f"expected {expect!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def point(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise NotationError(f"expected a point, got {tok!r}")
-        p = int(tok)
-        if not 1 <= p <= self.n:
-            raise NotationError(f"point {p} is outside 1..{self.n}")
-        if p in self.seen:
-            raise NotationError(f"point {p} mentioned twice")
-        self.seen.add(p)
-        return p
-
-    def component(self) -> None:
-        if self.peek() != "(":
-            self.entry()  # a bare entry is a fixed target, already its own image
-            return
-        self.take("(")
-        cycle = []
-        if self.peek() != ")":
-            cycle.append(self.entry())
-            while self.peek() == ",":
-                self.take(",")
-                cycle.append(self.entry())
-        self.take(")")
-        for target, successor in zip(cycle, cycle[1:] + cycle[:1]):
-            self.images[target - 1] = successor
-
-    def entry(self) -> int:
-        # iterative, so nesting depth is not bounded by the recursion limit;
-        # each open bracket holds the points read so far inside it
-        brackets: list[list[int]] = []
-        while True:
-            while self.peek() == "[":
-                self.take("[")
-                brackets.append([])
-            done = self.point()
-            while brackets:
-                brackets[-1].append(done)
-                if self.peek() == ",":
-                    self.take(",")
-                    break
-                self.take(";")
-                done = self.point()
-                self.take("]")
-                for source in brackets.pop():
-                    self.images[source - 1] = done
-            else:
-                return done
+def _fault(expected: str, tok: str) -> NotationError:
+    if not tok:
+        return NotationError("unexpected end of input")
+    return NotationError(f"expected {expected}, got {tok!r}")
 
 
 def parse_linear(text: str, n: int) -> Transformation:
@@ -129,10 +52,74 @@ def parse_linear(text: str, n: int) -> Transformation:
     """
     if n < 1:
         raise ValueError("state count must be at least 1")
-    parser = _Parser(_tokenize(text), n)
-    while parser.peek() is not None:
-        parser.component()
-    return Transformation(parser.images)
+    at = _FORM.match(text).end()
+    if at < len(text):
+        raise NotationError(f"unexpected character {text[at]!r} at position {at}")
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # marks the end of input
+
+    # one point per turn of the loop: the brackets opened before it, then
+    # the brackets and the cycle it closes. An image is written when its
+    # bracket or cycle closes; each open bracket holds the points read so
+    # far inside it, so nesting depth is not bounded by the recursion limit
+    images = list(range(1, n + 1))
+    seen: set[int] = set()
+    brackets: list[list[int]] = []
+    cycle: list[int] | None = None  # the targets read so far in an open cycle
+    target = False  # the point is the target after a ";"
+    pos = 0
+    while True:
+        tok = tokens[pos]
+        if not target:
+            if cycle is None and not brackets:  # a component starts, or the form ends
+                if not tok:
+                    return Transformation(images)
+                if tok == "(":
+                    pos += 1
+                    tok = tokens[pos]
+                    if tok == ")":
+                        pos += 1
+                        continue
+                    cycle = []
+            while tok == "[":
+                brackets.append([])
+                pos += 1
+                tok = tokens[pos]
+        if not tok.isdigit():
+            raise _fault("a point", tok)
+        p = int(tok)
+        if not 1 <= p <= n:
+            raise NotationError(f"point {p} is outside 1..{n}")
+        if p in seen:
+            raise NotationError(f"point {p} mentioned twice")
+        seen.add(p)
+        pos += 1
+        tok = tokens[pos]
+        if target:
+            if tok != "]":
+                raise _fault("']'", tok)
+            for source in brackets.pop():
+                images[source - 1] = p
+            pos += 1
+            tok = tokens[pos]
+            target = False
+        if brackets:  # p is a source of the innermost open bracket
+            brackets[-1].append(p)
+            if tok != ",":
+                if tok != ";":
+                    raise _fault("';'", tok)
+                target = True
+            pos += 1
+        elif cycle is not None:  # p ends an entry of the cycle
+            cycle.append(p)
+            if tok != ",":
+                if tok != ")":
+                    raise _fault("')'", tok)
+                for x, successor in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[x - 1] = successor
+                cycle = None
+            pos += 1
+        # otherwise p ends a bare entry, a fixed target that is already its own image
 
 
 def print_linear(s: Transformation) -> str:

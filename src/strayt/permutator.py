@@ -11,7 +11,8 @@ products of straight minimal permutators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import StraytError, stateset
@@ -54,12 +55,9 @@ def _node_permutes(graph: CayleyGraph, members: frozenset[int]) -> Callable[[int
     """Test of one node's map against the set, for words too short to
     pay for a mask over the whole graph."""
     images = graph.images
-
-    def permutes(node: int) -> bool:
-        e = images(node)
-        return {e[y - 1] for y in members} == members
-
-    return permutes
+    ys = [y - 1 for y in members]
+    at = itemgetter(*ys, ys[0])  # one member read twice is still a tuple
+    return lambda node: set(at(images(node))) == members
 
 
 def is_minimal_permutator(graph: CayleyGraph, word: Sequence[int],
@@ -120,8 +118,9 @@ def factorize(graph: CayleyGraph, word: Sequence[int],
     _require_permutator(graph.images(nodes[-1]), members)
     hits = set(filter(_node_permutes(graph, members), set(nodes[1:])))
     # the last node permutes (checked above), so the last cut ends the word
-    cuts =[end for end in range(1, len(nodes)) if nodes[end] in hits]
-    return [tuple(word[begin:end]) for begin, end in zip([0] + cuts, cuts)]
+    cuts = list(compress(range(1, len(nodes)), map(hits.__contains__, nodes[1:])))
+    word = tuple(word)
+    return [word[begin:end] for begin, end in zip([0] + cuts, cuts)]
 
 
 def reduce_word(graph: CayleyGraph, word: Sequence[int]) -> Word:
@@ -139,7 +138,7 @@ def reduce_word(graph: CayleyGraph, word: Sequence[int]) -> Word:
     """
     nodes = graph.trajectory(word)
     end = len(word)
-    last = {node: i for i, node in enumerate(nodes)}
+    last = dict(zip(nodes, range(len(nodes))))
     pos = last[0]
     if pos == end:
         pos = max(i for i in range(end) if nodes[i] == 0)
@@ -158,11 +157,11 @@ def retract(graph: CayleyGraph, word: Sequence[int],
     transformation, and distributes over concatenation of permutator
     words. The reduced factors stay minimal because excising loops only
     removes trajectory nodes, so no new permuting prefix can appear.
+    Each distinct factor is reduced once.
     """
-    out: list[int] = []
-    for factor in factorize(graph, word, states):
-        out.extend(reduce_word(graph, factor))
-    return tuple(out)
+    factors = factorize(graph, word, states)
+    reduced = {factor: reduce_word(graph, factor) for factor in set(factors)}
+    return tuple(chain.from_iterable(map(reduced.__getitem__, factors)))
 
 
 def subgroup_closure(graph: CayleyGraph, seeds: Sequence[Sequence[int]]) -> frozenset[int]:

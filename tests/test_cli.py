@@ -101,6 +101,7 @@ class TestPresentationFiles:
         ("states 3\n = [1;2]\n", 2, "expected '<name> = <transformation>'"),
         ("states 2\nt = [1;2]\nt = [2;1]\n", 3, "duplicate generator 't'"),
         ("states 0\na = ()\n", 1, "state count must be at least 1"),
+        ("states 3\na = [1;2] x\n", 2, "unexpected character 'x' at position 6"),
         ("", 0, "missing 'states <n>' header"),
         ("# only a comment\n\n", 0, "missing 'states <n>' header"),
         ("states 3\n", 0, "no generators defined"),

@@ -192,16 +192,22 @@ class TestPresentation:
         assert p.word("bac") == (1, 0, 2)
 
     def test_word_unknown_name(self):
+        # the whole first token that is neither a name nor a run of names
         p = abc_presentation()
-        with pytest.raises(ValueError):
-            p.word("bxc")
+        for text, bad in (("bxc", "bxc"), ("ba bxc c", "bxc"), ("b.x", "x"), ("ab xa x", "xa")):
+            with pytest.raises(ValueError, match=f"^unknown generator name {bad!r}$"):
+                p.word(text)
+        for empty in ("", " . "):
+            with pytest.raises(ValueError, match="^empty word$"):
+                p.word(empty)
 
     def test_multichar_names_need_separators(self):
         p = Presentation(2, [("t1", Transformation((1, 1))),
                              ("t2", Transformation((2, 2)))])
         assert p.word("t2 t1") == (1, 0)
-        with pytest.raises(ValueError):
-            p.word("t2t1")
+        for text, bad in (("t2t1", "t2t1"), ("t1 t3 t2", "t3"), ("t1.t", "t")):
+            with pytest.raises(ValueError, match=f"^unknown generator name {bad!r}$"):
+                p.word(text)
 
     def test_format_word_roundtrip(self):
         p = abc_presentation()
@@ -210,3 +216,15 @@ class TestPresentation:
                              ("t2", Transformation((2, 2)))])
         assert q.format_word((1, 0)) == "t2 t1"
         assert q.word(q.format_word((1, 0))) == (1, 0)
+
+    def test_format_word_rejects_letters_outside_the_generators(self):
+        # a negative letter would otherwise print the last names
+        p = abc_presentation()
+        for bad in ((-1,), (0, -3), (3,), (0, 1.0), ()):
+            with pytest.raises(ValueError):
+                p.format_word(bad)
+
+    def test_bool_letters_are_accepted(self):
+        p = abc_presentation()
+        assert p.format_word((True, False, 2)) == "bac"
+        assert evaluate(p, (True, False, 2)) == evaluate(p, p.word("bac"))

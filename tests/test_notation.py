@@ -72,6 +72,12 @@ class TestParseLinear:
         with pytest.raises(NotationError, match="end of input"):
             reference.parse_linear("[5;6", 3)
 
+    def test_stray_character_is_named_past_whitespace(self):
+        for text, at in (("[1;2] x", 6), ("[1;2]x", 5), ("x", 0), ("(1, \t\n²)", 6)):
+            with pytest.raises(NotationError) as err:
+                parse_linear(text, 3)
+            assert str(err.value) == f"unexpected character {text[at]!r} at position {at}"
+
     def test_syntax_errors(self):
         for bad in ("[1;2", "(1,", "[;2]", "1]", "[1,2]", "x", "(1 2)"):
             with pytest.raises(NotationError):
@@ -299,3 +305,29 @@ class TestReferenceExactness:
                 assert error == ref_error, text
                 syntax_faults += 1
         assert accepted > 20000 and syntax_faults > 20000
+
+    def test_inserted_characters(self):
+        # one character inserted into seeded token strings: a foreign one is
+        # named at its position ahead of every other fault, one the grammar
+        # takes ("٣" reads as the digit 3; tab and newline are whitespace)
+        # leaves the outcome to the grammar, as the reference reads it
+        rng = random.Random(13)
+        foreign, taken = ["x", "²", "①"], ["٣", "\t", "\n"]
+        named = same = 0
+        for _ in range(30000):
+            n = rng.randint(1, 12)
+            text = rng.choice([" ", ""]).join(random_tokens(rng, n))
+            char = rng.choice(foreign + taken)
+            at = rng.randint(0, len(text))
+            text = text[:at] + char + text[at:]
+            images, error = parse_outcome(parse_linear, text, n)
+            if char in foreign:
+                assert error == f"unexpected character {char!r} at position {at}", text
+                named += 1
+                continue
+            ref_images, ref_error = parse_outcome(reference.parse_linear, text, n)
+            assert images == ref_images, text
+            if images is None and not error.startswith("point "):
+                assert error == ref_error, text
+            same += 1
+        assert named > 10000 and same > 10000

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -391,6 +392,46 @@ class TestRetract:
     def test_rejects_non_permutator(self, ex4):
         with pytest.raises(NotAPermutatorWord):
             retract(ex4, word(ex4, "ba"), {1, 2})
+
+    def test_long_words_of_repeated_factors(self):
+        # Y is the image of an idempotent power e of a seeded word u, so
+        # every power of u that realizes e permutes Y. Long words are built
+        # from a few such pieces, minimal straight permutators of Y, and
+        # these pumped by a loop of up to 3 letters after an interior
+        # prefix, so most of their factors repeat and some are not straight
+        rng = random.Random(41)
+        factors_seen = repeated = changed = 0
+        for g in random_graphs(43, 40) + mixed_graphs(47, 40):
+            u = g.first_word(rng.randrange(1, g.size))
+            power = 1
+            while True:
+                e = g.images(g.walk(u * power))
+                if all(e[x - 1] == x for x in e):
+                    break
+                power += 1
+            ys = set(e)
+            code = list(minimal_straight_permutators(g, ys, SearchLimits(max_results=4)))
+            pieces = [u * power * r for r in (1, 2, 3)] + code
+            short = [x for length in (1, 2, 3)
+                     for x in itertools.product(range(g.num_letters), repeat=length)]
+            for m in list(pieces):
+                for i in range(1, len(m)):
+                    v = g.walk(m[:i])
+                    pieces += [m[:i] + x + m[i:] for x in short if g.walk(x, start=v) == v][:2]
+            w = ()
+            while len(w) < 150:
+                w += rng.choice(pieces)
+            factors = factorize(g, w, ys)
+            assert sum(factors, ()) == w
+            assert all(is_minimal_permutator(g, f, ys) for f in factors)
+            r = retract(g, w, ys)
+            assert r == sum((reduce_word(g, f) for f in factors), ())
+            for f in set(factors) | {w}:
+                assert reduce_word(g, f) == reference_reduce(g, f)
+            factors_seen += len(factors)
+            repeated += len(factors) - len(set(factors))
+            changed += r != w
+        assert repeated > 0.8 * factors_seen and changed >= 10
 
 
 class TestMinimalCodeGenerates:

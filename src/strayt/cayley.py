@@ -7,7 +7,7 @@ so that node numbering and first words are reproducible.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Presentation, StraytError, Transformation, check_word
 
@@ -126,6 +126,26 @@ class CayleyGraph:
         for letter in word:
             node = edges[node * k + letter]
         return node
+
+    def walk_from(self, word: Sequence[int], starts: Iterable[int]) -> Iterator[int]:
+        """End node of the word's path from each start, as the starts come.
+
+        The word is checked once, at the call, and each start as it is
+        read, so `starts` may be a list that grows while it is read.
+        """
+        k = self._k
+        check_word(word, k)
+        edges = self._edges
+        size = len(edges) // k
+
+        def end(node: int) -> int:
+            if not 0 <= node < size:
+                raise self._outside(node)
+            for letter in word:
+                node = edges[node * k + letter]
+            return node
+
+        return map(end, starts)
 
     def trajectory(self, word: Sequence[int]) -> tuple[int, ...]:
         """Nodes realized by the word's prefixes, starting at node 0."""

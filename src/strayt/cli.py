@@ -206,7 +206,7 @@ def _output(args, rows, lines) -> int:
 
 def _finish_search(graph: CayleyGraph, result) -> int:
     p = graph.presentation
-    for w in result.words:
+    for w in result:
         print(f"{p.format_word(w)}\t{print_linear(graph.element(graph.walk(w)))}")
     if result.truncated:
         print("warning: output truncated by a search limit", file=sys.stderr)

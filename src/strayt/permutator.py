@@ -165,19 +165,19 @@ def retract(graph: CayleyGraph, word: Sequence[int],
 
 
 def subgroup_closure(graph: CayleyGraph, seeds: Sequence[Sequence[int]]) -> frozenset[int]:
-    """Close the realizations of the seed words under composition."""
+    """Close the realizations of the seed words under composition.
+
+    Each seed is checked once: one walk per seed reads the closed nodes
+    in the order they are found, behind node 0, whose products are the
+    seeds' own nodes.
+    """
     if not seeds:
         raise ValueError("at least one seed word is required")
-    by_node = {graph.walk(w): w for w in seeds}
-    closed = set(by_node)
-    frontier = list(by_node)
-    while frontier:
-        fresh = []
-        for node in frontier:
-            for w in by_node.values():
-                product = graph.walk(w, start=node)
-                if product not in closed:
-                    closed.add(product)
-                    fresh.append(product)
-        frontier = fresh
+    nodes = [0]  # grows while the walks read it
+    closed: set[int] = set()
+    for products in zip(*[graph.walk_from(w, nodes) for w in seeds]):
+        for product in products:
+            if product not in closed:
+                closed.add(product)
+                nodes.append(product)
     return frozenset(closed)

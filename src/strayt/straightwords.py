@@ -9,6 +9,13 @@ so that it stops at the shortest words. A step onto an already visited
 node is taken only when it closes a loop at the starting node as the
 word's final letter, which is exactly the straightness condition.
 
+A search returns at once a `WordSearch` that hands its words over while
+its walk runs. The words of the least length come first, and depth-first
+order finds them in letter order, so each is final the moment the walk
+finds it, wherever that length is known before the walk; the longer
+words follow when the pass ends. A capped search hands over each word of
+a pass as it finds it.
+
 The walk reads one byte per node, its nearness: 1 when no emitting node
 lies within the length bound, 2 when a word ending there is emitted, and
 2 + d when no emitting node is nearer than d edges on. It never enters a
@@ -57,7 +64,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import stateset
 from .cayley import CayleyGraph
@@ -93,21 +101,97 @@ class SearchLimits:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-@dataclass(frozen=True)
 class WordSearch:
-    """Words found by a search, plus whether a limit cut it short."""
+    """Words found by a search, in order, plus whether a limit cut it short.
 
-    words: tuple[Word, ...]
-    truncated: bool = False
+    A search hands its words over while its walk runs: iterating yields
+    each word as soon as it is final, and keeps it, so a result can be
+    iterated again, or by several iterators at once, each seeing every
+    word once. `words`, `truncated`, `len`, `in`, `==` and `hash` finish
+    the walk first. A walk stopped by an exception, such as an interrupt,
+    is not resumed: the result raises RuntimeError from then on. A result
+    whose walk still runs must not be read from two threads at once.
+    """
+
+    __slots__ = ("_words", "_truncated", "_found", "_walk")
+
+    def __init__(self, words: Iterable[Word], truncated: bool = False) -> None:
+        self._words = tuple(words)
+        self._truncated = truncated
+        self._walk = None  # or the walk that appends the words to _found
+
+    def _chunks(self, found: list[Word], walk: Iterator[None]) -> Iterator[list[Word]]:
+        seen = 0
+        try:
+            for _ in walk:  # each step appends words to found
+                chunk = found[seen:]
+                seen += len(chunk)
+                yield chunk
+        except GeneratorExit:  # the iterator was dropped
+            raise
+        except BaseException as error:
+            self._walk = _stopped(error)
+            raise
+        if self._walk is walk:  # the walk ended here
+            self._words = tuple(found)
+            self._walk = self._found = None
+        else:  # it ended elsewhere, or an exception stopped it there
+            self._finish()
+        if seen < len(found):
+            yield found[seen:]
+
+    def _finish(self) -> None:
+        walk = self._walk
+        if walk is not None:
+            try:
+                for _ in walk:
+                    pass
+            except BaseException as error:
+                self._walk = _stopped(error)
+                raise
+            self._words = tuple(self._found)
+            self._walk = self._found = None
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
+        if self._walk is None:
+            return iter(self._words)
+        return chain.from_iterable(self._chunks(self._found, self._walk))
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        self._finish()
+        return self._words
+
+    @property
+    def truncated(self) -> bool:
+        self._finish()
+        return self._truncated
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: object) -> bool:
         return tuple(word) in self.words
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.words, self.truncated) == (other.words, other.truncated)
+
+    def __hash__(self) -> int:
+        return hash((self.words, self.truncated))
+
+    def __repr__(self) -> str:
+        return f"WordSearch(words={self.words!r}, truncated={self.truncated!r})"
+
+    def __reduce__(self):
+        return WordSearch, (self.words, self.truncated)
+
+
+def _stopped(error: BaseException) -> Iterator[None]:
+    """The walk of a result whose walk an exception stopped."""
+    raise RuntimeError("the search was stopped by an exception") from error
+    yield
 
 
 _UNLIMITED = SearchLimits()
@@ -210,25 +294,35 @@ def _length_bound(graph: CayleyGraph, start: int,
 
 
 def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
-            limits: SearchLimits, max_len: int, minimal: bool) -> WordSearch:
-    """The words of a search, from one walk or from one walk per length."""
+            limits: SearchLimits, max_len: int, minimal: bool, exact: bool = True) -> WordSearch:
+    """The words of a search, from one walk or from one walk per length.
+    `exact` says whether `near` holds exact distances, as the module
+    docstring has them; where it does not, 3 stands for any nearness."""
     # Without max_results, one pass to the length bound finds every word.
-    # With it, the bound deepens one length at a time and each pass keeps
-    # only the words of its own length, up to the first word beyond the
-    # cap: a short answer must not wait for a walk through every long
-    # path, and the extra word proves the truncation. Deepening stops once
-    # a pass cuts no path that could still reach an emitting node.
+    # With it, the bound deepens one length at a time and each pass hands
+    # over only the words of its own length, up to the cap: a short answer
+    # must not wait for a walk through every long path, and one word
+    # beyond the cap proves the truncation.
+    result = WordSearch(())
+    result._found = found = []
     cap = limits.max_results
     if cap is None:
-        return WordSearch(tuple(_walk(graph, start, near, guide, minimal, 1, max_len)[0]))
-    found: list[Word] = []
+        result._walk = _walk(graph, start, near, guide, minimal, max_len, found, None, exact)
+    else:
+        result._walk = _passes(result, graph, start, near, guide, minimal, max_len, cap)
+    return result
+
+
+def _passes(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | bytearray,
+            guide: tuple, minimal: bool, max_len: int, cap: int) -> Iterator[None]:
+    """One pass per length, appending to the result's words, until a word
+    beyond the cap turns up, which marks the result truncated, or a pass
+    cuts no path that could still reach an emitting node."""
     for length in range(1, max_len + 1):
-        words, cut = _walk(graph, start, near, guide, minimal, length, length,
-                           cap + 1 - len(found))
-        found += words
-        if len(found) > cap or not cut:
-            break
-    return WordSearch(tuple(found[:cap]), truncated=len(found) > cap)
+        cut = yield from _walk(graph, start, near, guide, minimal, length, result._found, cap)
+        if not cut:
+            result._truncated = cut is None
+            return
 
 
 def _distances(near: bytearray, goals: list[int], first: Sequence[int], after: Sequence[int],
@@ -328,38 +422,50 @@ def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: i
 
 
 def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
-          minimal: bool, shortest: int, bound: int,
-          room: int | None = None) -> tuple[list[Word], bool]:
+          minimal: bool, bound: int, found: list[Word], cap: int | None,
+          exact: bool = True) -> Iterator[None]:
     """One depth-first pass, in letter order, over the straight paths from
-    start of at most bound edges.
+    start of at most bound edges, appending its words to `found` in
+    length-then-letters order, and yielding after each word it appends
+    while it runs.
 
-    Returns the words of length shortest..bound in length-then-letters
-    order, and whether some path was cut at the bound. Each word goes into
-    the bucket of its length, which depth-first order fills in letter
-    order. A pass over one length (shortest == bound) stops once it holds
-    room words. Each node on the path reads its successor row once. `near`
-    holds each node's nearness (see the module docstring). A guided search
-    passes the guide from `_guide`, whose ids map each node seen to its
-    set; a nearness of 0 is not yet known, and the walk reads it from the
-    guide the first time it sees the node. Other searches pass _NO_GUIDE
-    and no 0 bytes.
+    Each word goes into the bucket of its length, which depth-first order
+    fills in letter order. The words of the least length come first: they
+    go to `found` as the pass finds them, and the other buckets follow
+    when it ends. With exact nearness that length is `_least_length`;
+    otherwise only words of length 1 can be known to come first. With a
+    cap, the pass keeps only the words of length bound, and each goes to
+    `found` as found: returns None on a word beyond the cap, which it
+    drops, else whether some path was cut at the bound.
+
+    Each node on the path reads its successor row once. `near` holds each
+    node's nearness (see the module docstring). A guided search passes
+    the guide from `_guide`, whose ids map each node seen to its set; a
+    nearness of 0 is not yet known, and the walk reads it from the guide
+    the first time it sees the node. Other searches pass _NO_GUIDE and no
+    0 bytes.
     """
     successors = graph.successors
     rows, far, ids = guide
     closing = 2 if near[start] == 2 else 1  # a step back to start emits or is dead
     limit = bound + 2
+    row = successors(start)
+    if cap is not None:
+        shortest = eager = bound
+    else:  # words of length 1 come first where any exist
+        shortest, eager = 1, _least_length(row, start, near, guide, closing) if exact else 1
     buckets: list[list[Word]] = [[], []]
     cut = False
 
-    word: list[int] = []
+    depth = 1  # length of a word ending with the next step
+    bucket = buckets[1]
+    prefix: Word = ()
+    prefixes = [prefix]  # the word of each node on the path but the last
     path = [start]
     visited = bytearray(len(near))
     visited[start] = 1
-    pending = [iter(enumerate(successors(start)))]
+    pending = [enumerate(row)]
     while pending:
-        depth = len(path)  # length of a word ending with the next step
-        bucket = buckets[depth]
-        descended = False
         for letter, nxt in pending[-1]:
             if visited[nxt]:
                 if nxt != start:
@@ -373,10 +479,15 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
             if f < 3:
                 if f < 2:
                     continue
+                word = prefix + (letter,)
                 if depth >= shortest:
-                    bucket.append(tuple(word) + (letter,))
-                    if len(bucket) == room:
-                        return bucket, True
+                    if depth != eager:
+                        bucket.append(word)
+                    elif len(found) == cap:
+                        return None
+                    else:
+                        found.append(word)
+                        yield
                 if minimal or nxt == start:
                     continue
                 if depth == bound:
@@ -385,20 +496,53 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
             elif depth + f > limit:  # the nearest emitting node lies beyond the bound
                 cut = True
                 continue
+            else:
+                word = prefix + (letter,)
             visited[nxt] = 1
             path.append(nxt)
-            word.append(letter)
-            pending.append(iter(enumerate(successors(nxt))))
-            if len(buckets) == depth + 1:
+            prefixes.append(prefix)
+            prefix = word
+            pending.append(enumerate(successors(nxt)))
+            depth += 1
+            if len(buckets) == depth:
                 buckets.append([])
-            descended = True
+            bucket = buckets[depth]
             break
-        if not descended:
+        else:
             pending.pop()
             visited[path.pop()] = 0
-            if word:
-                word.pop()
-    return [w for bucket in buckets for w in bucket], cut
+            prefix = prefixes.pop()
+            depth -= 1
+            bucket = buckets[depth]
+    for bucket in buckets:
+        found += bucket
+    if cap is not None:
+        return cut
+
+
+def _least_length(row: Sequence[int], start: int, near: bytearray, guide: tuple,
+                  closing: int) -> int:
+    """The least length of a word the walk from start emits, where
+    nearness is exact: 1 + the fewest letters from a successor of start to
+    an emitting node, since a shortest path is always straight; 0 when no
+    successor is nearer than 253 letters to one, as nearness 255 is only a
+    lower bound. Fills in the successors' nearness from the guide, as the
+    walk does."""
+    rows, far, ids = guide
+    least = 255
+    for letter, nxt in enumerate(row):
+        if nxt == start:
+            f = closing
+        else:
+            f = near[nxt]
+            if not f:
+                g = ids[nxt] = rows[0][letter]
+                f = near[nxt] = far[g]
+        if f == 2:
+            return 1
+        if 2 < f < least:
+            least = f
+    return least - 1 if least < 255 else 0
 
 
 def all_straight_words(graph: CayleyGraph, target: int | None = None,
@@ -431,7 +575,7 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     if not _worth_a_guide(graph, max_len):
         near = bytearray(b"\x03") * graph.size
         near[goal] = 2
-        return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True)
+        return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True, exact=False)
     seconds = graph.images(goal)
     if len(set(seconds)) == len(seconds):
         emit = bytearray(graph.size)
@@ -458,7 +602,7 @@ def permutator_search(graph: CayleyGraph, states: Sequence[int],
     limits, max_len = _length_bound(graph, 0, limits)
     if not _worth_a_guide(graph, max_len):
         near = permuting(graph, states).translate(_UNKNOWN)
-        return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal)
+        return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal, exact=False)
     members = bytes(sorted(stateset(states, graph.presentation.n)))
     near, guide = _guide(graph, 0, members, frozenset(members), max_len)
     return _deepen(graph, 0, near, guide, limits, max_len, minimal)

@@ -240,6 +240,34 @@ class TestTrajectory:
             ex4.trajectory(())
 
 
+class TestWalkFrom:
+    def test_matches_walk_from_each_start(self, graphs):
+        for g in graphs:
+            for word in [(0,), tuple(range(g.num_letters)) * 2, (g.num_letters - 1, 0, 0)]:
+                starts = list(range(g.size)) + [0, g.size - 1]
+                assert list(g.walk_from(word, starts)) == [g.walk(word, start=s) for s in starts]
+
+    def test_starts_read_as_they_come(self, ex2):
+        # a list that grows while it is read: the cycle's powers
+        nodes = [0]
+        for end in ex2.walk_from((0,), nodes):
+            if end not in nodes:
+                nodes.append(end)
+        assert nodes == [0, 1, 2]
+
+    def test_bad_word_raises_at_the_call(self, ex4):
+        for word in [(), (0, 3), (-1,), (1.0,)]:
+            with pytest.raises(ValueError):
+                ex4.walk_from(word, iter(()))
+
+    @pytest.mark.parametrize("start", [-1, 22, 100])
+    def test_start_outside_the_nodes_raises(self, ex4, start):
+        ends = ex4.walk_from((0,), [0, start])
+        assert next(ends) == ex4.walk((0,))
+        with pytest.raises(ValueError, match=r"outside 0\.\.21"):
+            next(ends)
+
+
 class TestIsStraight:
     def test_full_cycle_loop_is_straight(self, ex2):
         assert ex2.is_straight((0, 0, 0))

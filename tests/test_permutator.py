@@ -456,6 +456,18 @@ class TestMinimalCodeGenerates:
         assert retract(g, x, {3, 5, 8}) == x
 
 
+def direct_closure(graph, seeds):
+    """The nodes of every product of the seeds' maps, composed by hand."""
+    base = [evaluate(graph.presentation, w) for w in seeds]
+    closed = set(base)
+    while True:
+        fresh = {compose(s, t) for s in closed for t in base} - closed
+        if not fresh:
+            break
+        closed |= fresh
+    return {graph.element_index(s) for s in closed}
+
+
 class TestSubgroupClosure:
     def test_idempotent_seed_is_its_own_closure(self, ex4):
         a = word(ex4, "a")
@@ -463,16 +475,25 @@ class TestSubgroupClosure:
 
     def test_matches_direct_closure(self, ex4):
         seeds = [word(ex4, "ab"), word(ex4, "ca")]
-        base = [evaluate(ex4.presentation, w) for w in seeds]
-        closed = set(base)
-        while True:
-            fresh = {compose(s, t) for s in closed for t in base} - closed
-            if not fresh:
-                break
-            closed |= fresh
-        expected = {ex4.element_index(s) for s in closed}
-        assert subgroup_closure(ex4, seeds) == expected
+        assert subgroup_closure(ex4, seeds) == direct_closure(ex4, seeds)
+
+    def test_random_seeds_match_direct_closure(self):
+        # one to three seeds of one to five letters, repeats included
+        rng = random.Random(67)
+        for graph in random_graphs(71, 60):
+            k = graph.num_letters
+            seeds = [tuple(rng.randrange(k) for _ in range(rng.randint(1, 5)))
+                     for _ in range(rng.randint(1, 3))]
+            seeds += rng.sample(seeds, rng.randint(0, 1))
+            assert subgroup_closure(graph, seeds) == direct_closure(graph, seeds), seeds
 
     def test_requires_a_seed(self, ex4):
         with pytest.raises(ValueError):
             subgroup_closure(ex4, [])
+
+    @pytest.mark.parametrize("bad", [(), (3,), (0, -1), (1, 1.0)])
+    def test_bad_seed_raises(self, ex4, bad):
+        # checked before any walk, wherever it stands among the seeds
+        for seeds in ([bad], [word(ex4, "ab"), bad], [bad, word(ex4, "c")]):
+            with pytest.raises(ValueError):
+                subgroup_closure(ex4, seeds)

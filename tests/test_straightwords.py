@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from functools import partial
@@ -268,6 +269,7 @@ class TestStraightPaths:
         # identity, while the straight paths from it are far too many to walk
         t0 = time.perf_counter()
         result = straight_paths(deep, 1, 0, SearchLimits(max_results=3))
+        result.truncated
         assert time.perf_counter() - t0 < 0.5
         assert result.words == () and not result.truncated
 
@@ -289,6 +291,7 @@ class TestStraightPaths:
         # straight paths a walk to the hard bound would cross first
         t0 = time.perf_counter()
         result = straight_paths(deep, 0, 639, SearchLimits(max_results=3))
+        result.truncated
         assert time.perf_counter() - t0 < 1.0
         assert [len(w) for w in result] == [14, 15, 16] and result.truncated
         assert result.words[0] == deep.first_word(639)
@@ -298,6 +301,7 @@ class TestStraightPaths:
         # walk the straight paths that can never reach it
         t0 = time.perf_counter()
         result = straight_paths(deep, 0, 5, SearchLimits(max_results=1))
+        result.truncated
         assert time.perf_counter() - t0 < 1.0
         assert words_of(deep, result) == {"ba"} and not result.truncated
 
@@ -306,6 +310,7 @@ class TestStraightPaths:
         # must still skip every path whose image set cannot reach node 5's
         t0 = time.perf_counter()
         result = straight_paths(deep, 0, 5)
+        result.words
         assert time.perf_counter() - t0 < 0.5
         assert result.words == ((1, 0),) and not result.truncated
         # the same from a caller's mask, which no state set guides
@@ -313,6 +318,7 @@ class TestStraightPaths:
         emit[5] = 1
         t0 = time.perf_counter()
         result = search(deep, 0, emit, None, minimal=True)
+        result.words
         assert time.perf_counter() - t0 < 0.5
         assert result.words == ((1, 0),) and not result.truncated
 
@@ -324,6 +330,7 @@ class TestStraightPaths:
         limits = SearchLimits(max_results=5)
         t0 = time.perf_counter()
         result = all_straight_words(graph, target, limits)
+        result.truncated
         assert time.perf_counter() - t0 < 0.5
         emit = bytearray(graph.size)
         emit[target] = 1
@@ -336,6 +343,7 @@ class TestStraightPaths:
         graph = p53.graph
         t0 = time.perf_counter()
         result = search(graph, 0, b"\x01" * graph.size, None, minimal=True)
+        result.words
         assert time.perf_counter() - t0 < 0.1
         assert result.words == tuple((letter,) for letter in range(9))
 
@@ -371,6 +379,7 @@ class TestStraightPaths:
                 for _ in range(3):
                     t0 = time.perf_counter()
                     result = run()
+                    result.truncated
                     times.append(time.perf_counter() - t0)
                 timed.append((min(times), result))
             (mine, got), (plain, want) = timed
@@ -428,6 +437,7 @@ class TestMinimalStraightPermutators:
         t0 = time.perf_counter()
         code = minimal_straight_permutators(graph, states, limits)
         first = minimal_straight_permutators(graph, states, SearchLimits(max_results=3))
+        code.words, first.truncated
         assert time.perf_counter() - t0 < 0.5
         assert len(code) == 91 and not code.truncated
         mask = permuting(graph, states)
@@ -561,5 +571,238 @@ class TestSinglePass:
         graph.successors = counted
         for max_length in range(1, graph.size + 1):
             calls = 0
-            all_straight_words(graph, limits=SearchLimits(max_length=max_length))
+            all_straight_words(graph, limits=SearchLimits(max_length=max_length)).words
             assert calls == stepped_prefixes(graph, max_length)
+
+
+def streaming_graphs(ex1, ex2, ex3, ex4):
+    """The fixtures and the seeded small presentations whose straight
+    words are few enough to try every cap."""
+    return [ex1, ex2, ex3, ex4] + [
+        g for g in random_graphs(43, 60)
+        if g.size <= 60 and len(reference_search(g, 0, lambda v: True, None)) <= 300]
+
+
+STREAM_CAPS = [None, SearchLimits(max_length=1), SearchLimits(max_length=2),
+               SearchLimits(max_length=3), SearchLimits(max_results=1),
+               SearchLimits(max_results=2), SearchLimits(max_results=5),
+               SearchLimits(2, 1), SearchLimits(3, 4)]
+
+
+def stream_cases(graphs, seed):
+    """(run, limits) for the four searches, straight paths and `search`,
+    under every cap in STREAM_CAPS, with the reference's answer."""
+    rng = random.Random(seed)
+    for graph in graphs:
+        for run, reference in search_pairs(graph, rng):
+            for limits in STREAM_CAPS:
+                yield partial(run, limits), reference(limits)
+
+
+def entered_rows(graph, start, emits, bound, minimal):
+    """Brute-force model of a walk whose nearness is exact: the successor
+    rows read before the first word in output order arrives, and in all.
+
+    A node is entered when a path from it reaches an emitting node within
+    the length left (distances over every edge, by one breadth-first pass
+    back from the emitting nodes) and, with minimal, when it does not emit
+    itself. The first word is emitted while its parent's row is read, so
+    the rows before it are the start's and those of the nodes entered
+    before it in depth-first letter order."""
+    k, size = graph.num_letters, graph.size
+    into = [[] for _ in range(size)]
+    for node in range(size):
+        for letter in range(k):
+            into[graph.step(node, letter)].append(node)
+    dist = {v: 0 for v in range(size) if emits(v)}
+    frontier = list(dist)
+    while frontier:
+        fresh = []
+        for v in frontier:
+            for u in into[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    fresh.append(u)
+        frontier = fresh
+    events = []  # ("enter", word) and ("emit", word), in the walk's order
+
+    def visit(prefix, node, on_path):
+        depth = len(prefix) + 1
+        for letter in range(k):
+            nxt, word = graph.step(node, letter), prefix + (letter,)
+            if nxt == start:
+                if emits(start):
+                    events.append(("emit", word))
+                continue
+            if nxt in on_path or nxt not in dist:
+                continue
+            if dist[nxt] == 0:
+                events.append(("emit", word))
+                if minimal or depth == bound:
+                    continue
+            elif depth + dist[nxt] > bound:
+                continue
+            events.append(("enter", word))
+            visit(word, nxt, on_path | {nxt})
+
+    visit((), start, {start})
+    emitted = [w for kind, w in events if kind == "emit"]
+    if not emitted:
+        return None, None, 1 + len(events)
+    first = min(emitted, key=lambda w: (len(w), w))
+    before = events.index(("emit", first))
+    entered = sum(kind == "enter" for kind, _ in events[:before])
+    total = sum(kind == "enter" for kind, _ in events)
+    return first, 1 + entered, 1 + total
+
+
+class TestStreaming:
+    def test_iteration_yields_the_words_in_order(self, ex1, ex2, ex3, ex4):
+        for run, want in stream_cases(streaming_graphs(ex1, ex2, ex3, ex4), 73):
+            result = run()
+            streamed = list(result)
+            assert (tuple(streamed), result.truncated) == (want.words, want.truncated)
+            assert result.words == want.words and list(result) == streamed
+            assert result == want and hash(result) == hash(want) and repr(result) == repr(want)
+            again = run()
+            assert again.words == want.words and list(again) == streamed
+
+    def test_partial_iteration_then_finish(self, ex1, ex2, ex3, ex4):
+        rng = random.Random(79)
+        for run, want in stream_cases(streaming_graphs(ex1, ex2, ex3, ex4), 83):
+            words = list(want.words)
+            for taken in {0, 1, len(words) // 2, len(words)}:
+                result = run()
+                it = iter(result)
+                assert list(itertools.islice(it, taken)) == words[:taken]
+                if rng.random() < 0.5:
+                    assert result.words == want.words and result.truncated == want.truncated
+                else:
+                    assert result.truncated == want.truncated and result.words == want.words
+                assert len(result) == len(words)
+                assert list(it) == words[taken:] and list(result) == words
+
+    def test_interleaved_iterations_each_see_every_word_once(self, ex1, ex2, ex3, ex4):
+        rng = random.Random(89)
+        for run, want in stream_cases(streaming_graphs(ex1, ex2, ex3, ex4), 97):
+            result = run()
+            seen = [[], []]
+            live = [(iter(result), seen[0]), (iter(result), seen[1])]
+            late = rng.randrange(len(want.words) + 1)
+            while live:
+                i = rng.randrange(len(live))
+                it, words = live[i]
+                word = next(it, None)
+                if word is None:
+                    del live[i]
+                    continue
+                words.append(word)
+                if len(seen) == 2 and len(seen[0]) + len(seen[1]) == late:
+                    seen.append([])  # a third iterator, started part way
+                    live.append((iter(result), seen[2]))
+            assert all(tuple(words) == want.words for words in seen)
+            assert result.truncated == want.truncated
+
+    def test_a_walk_stopped_by_an_exception_is_not_resumed(self):
+        # an exception part way through, such as an interrupt, leaves no
+        # result that reads as whole
+        class Interrupt(Exception):
+            pass
+
+        graph = enumerate_semigroup(load_presentation(fixture_path("ex4_abc")))
+        rows, calls = graph.successors, 0
+
+        def interrupted(node):
+            nonlocal calls
+            calls += 1
+            if calls == 6:
+                raise Interrupt
+            return rows(node)
+
+        graph.successors = interrupted
+        result = all_straight_words(graph)
+        it = iter(result)
+        assert next(it) == (0,)
+        with pytest.raises(Interrupt):
+            list(it)
+        graph.successors = rows
+        for read in (lambda r: r.words, lambda r: r.truncated, list, len):
+            with pytest.raises(RuntimeError, match="stopped"):
+                read(result)
+
+    def test_pickles_as_its_words(self, ex4):
+        result = straight_permutator_words(ex4, {1, 2}, SearchLimits(max_results=3))
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert result == WordSearch(result.words, truncated=True)
+
+    @pytest.mark.parametrize("limits", [None, SearchLimits(max_length=2),
+                                        SearchLimits(max_results=2)])
+    def test_bad_arguments_raise_at_the_call(self, ex4, limits):
+        calls = [
+            partial(search, ex4, -1, b"\x01" * 22), partial(search, ex4, 22, b"\x01" * 22),
+            partial(search, ex4, 0, b"\x01" * 21), partial(search, ex4, 0, b"\x01" * 23),
+            partial(straight_paths, ex4, -1, 1), partial(straight_paths, ex4, 0, 22),
+            partial(all_straight_words, ex4, 22), partial(all_straight_words, ex4, -1),
+        ]
+        for states in ([], [0], [4], [1, 2, 9], [1.5]):
+            calls.append(partial(straight_permutator_words, ex4, states))
+            calls.append(partial(minimal_straight_permutators, ex4, states))
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(limits)
+
+    def test_first_word_arrives_before_the_last_row(self, ex1, ex2, ex3, ex4):
+        # walks whose nearness is exact: every straight word, `search`, and
+        # the guided walks, on graphs of more than 32 edges with a length
+        # bound that lets a walk enter more than 32 nodes; each row the
+        # walk reads is counted from the call's return
+        rng = random.Random(101)
+        graphs = [ex1, ex2, ex3, ex4] + random_graphs(103, 120)
+        early = {}
+        for graph in graphs:
+            k, size = graph.num_letters, graph.size
+            guided = k > 1 and size * k > 32
+            bound = {2: 6, 3: 4}.get(k, 3)
+            limits = SearchLimits(max_length=bound)
+            idempotents = [v for v in range(size)
+                           if all(graph.images(v)[x - 1] == x for x in graph.images(v))]
+            states = set(graph.images(rng.choice(idempotents)))
+            mask = permuting(graph, states)
+            start, goal = rng.randrange(size), rng.randrange(size)
+            emit = bytes(rng.random() < 0.2 for _ in range(size))
+            cases = [(partial(all_straight_words, graph, None), 0, lambda v: True, False)]
+            for minimal in (False, True):
+                cases.append((partial(search, graph, start, emit, minimal=minimal),
+                              start, emit.__getitem__, minimal))
+            if guided:
+                cases += [
+                    (partial(straight_permutator_words, graph, states), 0, mask.__getitem__, False),
+                    (partial(minimal_straight_permutators, graph, states), 0, mask.__getitem__, True),
+                    (partial(straight_paths, graph, start, goal), start, goal.__eq__, True),
+                ]
+            successors, calls = graph.successors, 0
+
+            def counted(node):
+                nonlocal calls
+                calls += 1
+                return successors(node)
+
+            graph.successors = counted
+            try:
+                for run, begin, emits, minimal in cases:
+                    first, rows_before, rows = entered_rows(graph, begin, emits, bound, minimal)
+                    result = run(limits)
+                    calls = 0
+                    it = iter(result)
+                    assert next(it, None) == first
+                    at_first = calls
+                    list(it)
+                    assert (at_first, calls) == (rows_before if first else rows, rows), run
+                    # a first word of two or more letters comes early only where
+                    # nearness is exact
+                    if first is not None and len(first) > 1 and at_first < calls:
+                        early[run.func.__name__] = early.get(run.func.__name__, 0) + 1
+            finally:
+                del graph.successors
+        assert set(early) == {"search", "straight_permutator_words",
+                              "minimal_straight_permutators", "straight_paths"}

@@ -105,10 +105,7 @@ class CayleyGraph:
 
     def step(self, node: int, letter: int) -> int:
         """The node's edge target for the letter."""
-        if not 0 <= node < self.size:
-            raise self._outside(node)
-        check_word((letter,), self._k)
-        return self._edges[node * self._k + letter]
+        return self.walk((letter,), node)
 
     def successors(self, node: int) -> array:
         """The node's edge targets, one per letter in letter order."""
@@ -117,15 +114,7 @@ class CayleyGraph:
 
     def walk(self, word: Sequence[int], start: int = 0) -> int:
         """End node of the path labeled by the word."""
-        k = self._k
-        check_word(word, k)
-        edges = self._edges
-        if not 0 <= start < len(edges) // k:
-            raise self._outside(start)
-        node = start
-        for letter in word:
-            node = edges[node * k + letter]
-        return node
+        return next(self.walk_from(word, (start,)))
 
     def walk_from(self, word: Sequence[int], starts: Iterable[int]) -> Iterator[int]:
         """End node of the word's path from each start, as the starts come.

@@ -10,18 +10,21 @@ node is taken only when it closes a loop at the starting node as the
 word's final letter, which is exactly the straightness condition.
 
 A search returns at once a `WordSearch` that hands its words over while
-its walk runs. The words of the least length come first, and depth-first
-order finds them in letter order, so each is final the moment the walk
-finds it, wherever that length is known before the walk; the longer
-words follow when the pass ends. A capped search hands over each word of
-a pass as it finds it.
+its walk runs. The nearness of the start's successors (below) bounds the
+least word length from below. The words of that length, if any, come
+first, and depth-first order finds them in letter order, so each is
+final the moment the walk finds it; the longer words follow when the
+pass ends. A capped search hands over each word of a pass as it finds
+it.
 
 The walk reads one byte per node, its nearness: 1 when no emitting node
 lies within the length bound, 2 when a word ending there is emitted, and
-2 + d when no emitting node is nearer than d edges on. It never enters a
-node of nearness 1 and cuts a path whose nearest emitting node lies
-beyond the bound. Every search trims this one way; the searches differ
-only in where the bytes come from:
+2 + d when no emitting node is nearer than d edges on: a lower bound on
+2 + the node's distance to an emitting node, which every search but the
+unguided walk below gives exactly. The walk never enters a node of
+nearness 1 and cuts a path whose nearest emitting node lies beyond the
+bound. Every search trims this one way; the searches differ only in
+where the bytes come from:
 
 - every straight word: every node emits;
 - `search`, with a caller's emit mask: the nodes themselves, reached
@@ -46,9 +49,9 @@ only in where the bytes come from:
   `search`, with t as the only emitting node;
 - a walk too short to pay for a guide, on a graph of few edges or under
   a tight length bound (`_worth_a_guide`): every node that does not emit
-  reads 3, the permutators of Y coming from the `permuting` mask, which
-  builds them from the graph's state columns without a Python loop over
-  nodes.
+  reads 3, the weakest bound, the permutators of Y coming from the
+  `permuting` mask, which builds them from the graph's state columns
+  without a Python loop over nodes.
 
 `search` and the guides go forward only as deep as the length bound
 allows, and then take distances back from the goals in one reverse
@@ -97,6 +100,8 @@ class SearchLimits:
     def __post_init__(self) -> None:
         for name in ("max_length", "max_results"):
             value = getattr(self, name)
+            if value is not None and not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -294,10 +299,8 @@ def _length_bound(graph: CayleyGraph, start: int,
 
 
 def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
-            limits: SearchLimits, max_len: int, minimal: bool, exact: bool = True) -> WordSearch:
-    """The words of a search, from one walk or from one walk per length.
-    `exact` says whether `near` holds exact distances, as the module
-    docstring has them; where it does not, 3 stands for any nearness."""
+            limits: SearchLimits, max_len: int, minimal: bool) -> WordSearch:
+    """The words of a search, from one walk or from one walk per length."""
     # Without max_results, one pass to the length bound finds every word.
     # With it, the bound deepens one length at a time and each pass hands
     # over only the words of its own length, up to the cap: a short answer
@@ -307,7 +310,7 @@ def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tupl
     result._found = found = []
     cap = limits.max_results
     if cap is None:
-        result._walk = _walk(graph, start, near, guide, minimal, max_len, found, None, exact)
+        result._walk = _walk(graph, start, near, guide, minimal, max_len, found, None)
     else:
         result._walk = _passes(result, graph, start, near, guide, minimal, max_len, cap)
     return result
@@ -369,14 +372,16 @@ def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: i
     set smaller than the goal set, or one in which a member has two
     seconds, is dropped.
 
-    Returns the walk's nearness mask, 0 but at start, and its guide (rows,
-    far, ids), with ids mapping start to set 0. Set 0 is `seed` and the
-    others follow in breadth-first order; rows[i][letter] is the set that
-    the letter maps set i onto, for each set i that a path of fewer than
-    `bound` letters reaches, and -1 for a dropped set, or one other than
-    the goal set first reached at the bound. far[i] is 2 + the fewest
-    letters of a word mapping set i onto the goal set, or 1 when no path
-    through set i can reach the goal set within the bound; far[-1] is 1.
+    Returns the walk's nearness mask and its guide (rows, far, ids). The
+    mask reads 0, not yet known, but at start and its successors, the row
+    the walk reads first; ids maps these nodes to their sets, start to
+    set 0. Set 0 is `seed` and the others follow in breadth-first order;
+    rows[i][letter] is the set that the letter maps set i onto, for each
+    set i that a path of fewer than `bound` letters reaches, and -1 for a
+    dropped set, or one other than the goal set first reached at the
+    bound. far[i] is 2 + the fewest letters of a word mapping set i onto
+    the goal set, or 1 when no path through set i can reach the goal set
+    within the bound; far[-1] is 1.
     """
     tables = graph.presentation.tables
     least = len(goal)
@@ -418,32 +423,37 @@ def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: i
                depths, bound)
     near = bytearray(graph.size)
     near[start] = far[0]
-    return near, (rows, far, {start: 0})
+    ids = {start: 0}
+    for nxt, g in zip(graph.successors(start), rows[0]):
+        if not near[nxt]:
+            ids[nxt] = g
+            near[nxt] = far[g]
+    return near, (rows, far, ids)
 
 
 def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
-          minimal: bool, bound: int, found: list[Word], cap: int | None,
-          exact: bool = True) -> Iterator[None]:
+          minimal: bool, bound: int, found: list[Word], cap: int | None) -> Iterator[None]:
     """One depth-first pass, in letter order, over the straight paths from
     start of at most bound edges, appending its words to `found` in
     length-then-letters order, and yielding after each word it appends
     while it runs.
 
     Each word goes into the bucket of its length, which depth-first order
-    fills in letter order. The words of the least length come first: they
-    go to `found` as the pass finds them, and the other buckets follow
-    when it ends. With exact nearness that length is `_least_length`;
-    otherwise only words of length 1 can be known to come first. With a
-    cap, the pass keeps only the words of length bound, and each goes to
-    `found` as found: returns None on a word beyond the cap, which it
-    drops, else whether some path was cut at the bound.
+    fills in letter order. Since nearness bounds 2 + distance from below,
+    no word is shorter than the least nearness above 1 in the start's
+    successor row, less 1. The words of that length, if any, come first:
+    they go to `found` as the pass finds them, and the other buckets
+    follow when it ends. With a cap, the pass keeps only the words of
+    length bound, and each goes to `found` as found: returns None on a
+    word beyond the cap, which it drops, else whether some path was cut
+    at the bound.
 
     Each node on the path reads its successor row once. `near` holds each
     node's nearness (see the module docstring). A guided search passes
     the guide from `_guide`, whose ids map each node seen to its set; a
-    nearness of 0 is not yet known, and the walk reads it from the guide
-    the first time it sees the node. Other searches pass _NO_GUIDE and no
-    0 bytes.
+    nearness of 0, never in the start's row, is not yet known, and the
+    walk reads it from the guide the first time it sees the node. Other
+    searches pass _NO_GUIDE and no 0 bytes.
     """
     successors = graph.successors
     rows, far, ids = guide
@@ -452,8 +462,13 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
     row = successors(start)
     if cap is not None:
         shortest = eager = bound
-    else:  # words of length 1 come first where any exist
-        shortest, eager = 1, _least_length(row, start, near, guide, closing) if exact else 1
+    else:  # no word is shorter than eager; 254 where the row reads 255
+        shortest, least = 1, 255
+        for nxt in row:
+            f = closing if nxt == start else near[nxt]
+            if 1 < f < least:
+                least = f
+        eager = least - 1
     buckets: list[list[Word]] = [[], []]
     cut = False
 
@@ -520,31 +535,6 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
         return cut
 
 
-def _least_length(row: Sequence[int], start: int, near: bytearray, guide: tuple,
-                  closing: int) -> int:
-    """The least length of a word the walk from start emits, where
-    nearness is exact: 1 + the fewest letters from a successor of start to
-    an emitting node, since a shortest path is always straight; 0 when no
-    successor is nearer than 253 letters to one, as nearness 255 is only a
-    lower bound. Fills in the successors' nearness from the guide, as the
-    walk does."""
-    rows, far, ids = guide
-    least = 255
-    for letter, nxt in enumerate(row):
-        if nxt == start:
-            f = closing
-        else:
-            f = near[nxt]
-            if not f:
-                g = ids[nxt] = rows[0][letter]
-                f = near[nxt] = far[g]
-        if f == 2:
-            return 1
-        if 2 < f < least:
-            least = f
-    return least - 1 if least < 255 else 0
-
-
 def all_straight_words(graph: CayleyGraph, target: int | None = None,
                        limits: SearchLimits | None = None) -> WordSearch:
     """Every straight word, or only those realizing the target node.
@@ -575,7 +565,7 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     if not _worth_a_guide(graph, max_len):
         near = bytearray(b"\x03") * graph.size
         near[goal] = 2
-        return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True, exact=False)
+        return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True)
     seconds = graph.images(goal)
     if len(set(seconds)) == len(seconds):
         emit = bytearray(graph.size)
@@ -602,7 +592,7 @@ def permutator_search(graph: CayleyGraph, states: Sequence[int],
     limits, max_len = _length_bound(graph, 0, limits)
     if not _worth_a_guide(graph, max_len):
         near = permuting(graph, states).translate(_UNKNOWN)
-        return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal, exact=False)
+        return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal)
     members = bytes(sorted(stateset(states, graph.presentation.n)))
     near, guide = _guide(graph, 0, members, frozenset(members), max_len)
     return _deepen(graph, 0, near, guide, limits, max_len, minimal)

@@ -236,9 +236,13 @@ class TestAllStraightWords:
             all_straight_words(ex4, 99)
 
     @pytest.mark.parametrize("caps", [{"max_length": 0}, {"max_results": 0},
-                                      {"max_length": -2}, {"max_results": -1}])
+                                      {"max_length": -2}, {"max_results": -1},
+                                      {"max_length": 2.5}, {"max_results": 2.5},
+                                      {"max_results": 3.0}, {"max_length": "3"}])
     def test_caps_below_one_rejected(self, caps):
-        with pytest.raises(ValueError):
+        # a cap that is not an integer would be compared but never met
+        (field,) = caps
+        with pytest.raises(ValueError, match=field):
             SearchLimits(**caps)
 
 
@@ -806,3 +810,27 @@ class TestStreaming:
                 del graph.successors
         assert set(early) == {"search", "straight_permutator_words",
                               "minimal_straight_permutators", "straight_paths"}
+
+    def test_unguided_walk_hands_over_its_first_word_early(self, ex4):
+        # 66 edges but a bound of 3 letters: too short a walk for a guide,
+        # so every node but the goal reads nearness 3, which still shows
+        # that no word has one letter and each word of two is final
+        target = ex4.walk((0, 1))
+        successors, calls = ex4.successors, 0
+
+        def counted(node):
+            nonlocal calls
+            calls += 1
+            return successors(node)
+
+        ex4.successors = counted
+        try:
+            result = all_straight_words(ex4, target, SearchLimits(max_length=3))
+            calls = 0
+            it = iter(result)
+            assert next(it) == (0, 1)
+            at_first = calls
+            assert list(it) == [(1, 0, 1), (2, 0, 1)]
+        finally:
+            del ex4.successors
+        assert (at_first, calls) == (2, 9)

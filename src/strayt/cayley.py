@@ -147,13 +147,9 @@ class CayleyGraph:
     def is_straight(self, word: Sequence[int]) -> bool:
         """Trajectory nodes pairwise distinct, allowing one final return to node 0."""
         nodes = self.trajectory(word)
-        last = len(nodes) - 1
-        seen: set[int] = set()
-        for i, v in enumerate(nodes):
-            if v in seen:
-                return i == last and v == 0
-            seen.add(v)
-        return True
+        if nodes[-1] == 0:  # a final return to node 0, or the empty word's one node
+            nodes = nodes[:-1]
+        return len(set(nodes)) == len(nodes)
 
     def first_word(self, node: int) -> tuple[int, ...]:
         """The first word realizing the node in breadth-first order (node >= 1).

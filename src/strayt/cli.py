@@ -233,6 +233,8 @@ def cmd_straight(args) -> int:
 
 
 def cmd_perm(args) -> int:
+    if not (args.words or args.minimal) and (args.max_len, args.max_results) != (None, None):
+        raise StraytError("--max-len and --max-results apply only with --words or --minimal")
     limits = _limits(args)
     graph = _load_graph(args.file)
     states = _parse_states(args.set)

@@ -113,22 +113,24 @@ class WordSearch:
     each word as soon as it is final, and keeps it, so a result can be
     iterated again, or by several iterators at once, each seeing every
     word once. `words`, `truncated`, `len`, `in`, `==` and `hash` finish
-    the walk first. A walk stopped by an exception, such as an interrupt,
-    is not resumed: the result raises RuntimeError from then on. A result
-    whose walk still runs must not be read from two threads at once.
+    the walk first. An iterator dropped part way leaves the walk where it
+    was, for the next reader to go on with. A walk stopped by an
+    exception, such as an interrupt, is not resumed: the result raises
+    RuntimeError from then on. A result whose walk still runs must not be
+    read from two threads at once.
     """
 
-    __slots__ = ("_words", "_truncated", "_found", "_walk")
+    __slots__ = ("_words", "_truncated", "_walk")
 
     def __init__(self, words: Iterable[Word], truncated: bool = False) -> None:
-        self._words = tuple(words)
+        self._words = tuple(words)  # a list while a walk appends to it
         self._truncated = truncated
-        self._walk = None  # or the walk that appends the words to _found
+        self._walk = None  # or that walk, which readers drive through _chunks
 
     def _chunks(self, found: list[Word], walk: Iterator[None]) -> Iterator[list[Word]]:
         seen = 0
         try:
-            for _ in walk:  # each step appends words to found
+            for _ in walk:
                 chunk = found[seen:]
                 seen += len(chunk)
                 yield chunk
@@ -139,28 +141,20 @@ class WordSearch:
             raise
         if self._walk is walk:  # the walk ended here
             self._words = tuple(found)
-            self._walk = self._found = None
-        else:  # it ended elsewhere, or an exception stopped it there
-            self._finish()
+            self._walk = None
+        self._finish()  # else it ended elsewhere, or an exception stopped it there
         if seen < len(found):
             yield found[seen:]
 
     def _finish(self) -> None:
-        walk = self._walk
-        if walk is not None:
-            try:
-                for _ in walk:
-                    pass
-            except BaseException as error:
-                self._walk = _stopped(error)
-                raise
-            self._words = tuple(self._found)
-            self._walk = self._found = None
+        if self._walk is not None:
+            for _ in self._chunks(self._words, self._walk):
+                pass
 
     def __iter__(self) -> Iterator[Word]:
         if self._walk is None:
             return iter(self._words)
-        return chain.from_iterable(self._chunks(self._found, self._walk))
+        return chain.from_iterable(self._chunks(self._words, self._walk))
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -307,7 +301,7 @@ def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tupl
     # must not wait for a walk through every long path, and one word
     # beyond the cap proves the truncation.
     result = WordSearch(())
-    result._found = found = []
+    result._words = found = []
     cap = limits.max_results
     if cap is None:
         result._walk = _walk(graph, start, near, guide, minimal, max_len, found, None)
@@ -322,7 +316,7 @@ def _passes(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | by
     beyond the cap turns up, which marks the result truncated, or a pass
     cuts no path that could still reach an emitting node."""
     for length in range(1, max_len + 1):
-        cut = yield from _walk(graph, start, near, guide, minimal, length, result._found, cap)
+        cut = yield from _walk(graph, start, near, guide, minimal, length, result._words, cap)
         if not cut:
             result._truncated = cut is None
             return
@@ -448,8 +442,10 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
     word beyond the cap, which it drops, else whether some path was cut
     at the bound.
 
-    Each node on the path reads its successor row once. `near` holds each
-    node's nearness (see the module docstring). A guided search passes
+    The path is its last node, that node's word and the unread steps of
+    its successor row, over one frame of the same three for each node
+    before it, so each node on the path reads its row once. `near` holds
+    each node's nearness (see the module docstring). A guided search passes
     the guide from `_guide`, whose ids map each node seen to its set; a
     nearness of 0, never in the start's row, is not yet known, and the
     walk reads it from the guide the first time it sees the node. Other
@@ -474,14 +470,12 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
 
     depth = 1  # length of a word ending with the next step
     bucket = buckets[1]
-    prefix: Word = ()
-    prefixes = [prefix]  # the word of each node on the path but the last
-    path = [start]
+    node, prefix, steps = start, (), enumerate(row)
+    frames: list[tuple] = []
     visited = bytearray(len(near))
     visited[start] = 1
-    pending = [enumerate(row)]
-    while pending:
-        for letter, nxt in pending[-1]:
+    while True:
+        for letter, nxt in steps:
             if visited[nxt]:
                 if nxt != start:
                     continue
@@ -489,7 +483,7 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
             else:
                 f = near[nxt]
                 if not f:  # first seen: its set is its parent's set moved by the letter
-                    g = ids[nxt] = rows[ids[path[-1]]][letter]
+                    g = ids[nxt] = rows[ids[node]][letter]
                     f = near[nxt] = far[g]
             if f < 3:
                 if f < 2:
@@ -514,19 +508,18 @@ def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
             else:
                 word = prefix + (letter,)
             visited[nxt] = 1
-            path.append(nxt)
-            prefixes.append(prefix)
-            prefix = word
-            pending.append(enumerate(successors(nxt)))
+            frames.append((node, prefix, steps))
+            node, prefix, steps = nxt, word, enumerate(successors(nxt))
             depth += 1
             if len(buckets) == depth:
                 buckets.append([])
             bucket = buckets[depth]
             break
         else:
-            pending.pop()
-            visited[path.pop()] = 0
-            prefix = prefixes.pop()
+            if not frames:  # the start's row has run out
+                break
+            visited[node] = 0
+            node, prefix, steps = frames.pop()
             depth -= 1
             bucket = buckets[depth]
     for bucket in buckets:

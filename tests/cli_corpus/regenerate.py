@@ -1,11 +1,17 @@
-"""Rebuild expected.json from commands.txt by running each command in-process.
+"""Record in expected.json the commands of commands.txt it lacks.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/cli_corpus/regenerate.py
 
-Only run it on a tree whose output is known to be right: the test
-`tests/test_cli_corpus.py` holds every later tree to the files it writes.
+Each entry already in expected.json is kept byte for byte, and only the
+commands it lacks run, in-process, on the current tree; the entries come
+out in commands.txt order, and those of lines no longer listed are
+dropped. So a command added after a change to the program is recorded
+from that change, while the older entries keep the output they were
+recorded with. To record an entry again, delete it from expected.json by
+hand first. Only run it on a tree whose output is known to be right: the
+test `tests/test_cli_corpus.py` holds every later tree to the entries.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ def run(command: str) -> dict:
 
 
 if __name__ == "__main__":
-    results = [run(command) for command in commands()]
+    kept = ({case["command"]: case for case in json.loads(EXPECTED.read_text())}
+            if EXPECTED.exists() else {})
+    listed = commands()
+    results = [kept.get(command) or run(command) for command in listed]
     EXPECTED.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"wrote {len(results)} commands to {EXPECTED}")
+    print(f"ran {sum(command not in kept for command in listed)} new commands;"
+          f" {EXPECTED} holds {len(results)}")

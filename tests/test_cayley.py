@@ -150,6 +150,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             ex1.images(node)
 
+    @pytest.mark.parametrize("state", [0, 4])
+    def test_column_outside_the_states_raises(self, ex4, state):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            ex4.column(state)
+
     @pytest.mark.parametrize("node", [-1, -22, 22, 999])
     def test_steps_and_walks_outside_the_nodes_raise(self, ex4, node):
         # ex4 has 22 nodes; a negative node must not wrap round to the last ones

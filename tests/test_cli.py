@@ -352,6 +352,15 @@ class TestPermCommand:
         code, _, err = run(capsys, "perm", fixture_path("ex4_abc"), "--set", "1,x")
         assert code == 2 and "state set" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--group-order",)])
+    @pytest.mark.parametrize("cap", [("--max-len", "3"), ("--max-results", "1"),
+                                     ("--max-len", "0"), ("--max-len", "2", "--max-results", "2")])
+    def test_caps_without_a_search_rejected(self, capsys, mode, cap):
+        # the count and the group order run no search, so a cap would go unused
+        code, out, err = run(capsys, "perm", fixture_path("ex4_abc"), "--set", "1,2", *mode, *cap)
+        assert code == 2 and not out
+        assert err == "error: --max-len and --max-results apply only with --words or --minimal\n"
+
 
 class TestFactorizeCommand:
     def test_two_factors(self, capsys):

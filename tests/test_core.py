@@ -69,6 +69,12 @@ class TestCompose:
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
             compose(T, identity(3))
+        with pytest.raises(ValueError):
+            T * identity(3)
+
+    def test_product_operator_composes(self):
+        assert T * T == compose(T, T)
+        assert T * identity(4) * T == compose(T, T)
 
     @given(same_size_maps(count=3))
     def test_associative(self, maps):
@@ -184,6 +190,12 @@ class TestPresentation:
     def test_mismatched_state_count_rejected(self):
         with pytest.raises(ValueError):
             Presentation(3, [("t", T)])
+
+    def test_no_states_or_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="state count must be at least 1"):
+            Presentation(0, [("t", T)])
+        with pytest.raises(ValueError, match="at least one generator"):
+            Presentation(4, [])
 
     def test_word_with_separators(self):
         p = abc_presentation()

@@ -58,6 +58,11 @@ class TestParseLinear:
         with pytest.raises(NotationError):
             parse_linear("[3;1]", 2)
 
+    def test_no_states_rejected(self):
+        for text in ("", "(1)"):
+            with pytest.raises(ValueError, match="state count must be at least 1"):
+                parse_linear(text, 0)
+
     def test_point_mentioned_twice(self):
         with pytest.raises(NotationError):
             parse_linear("(1,1)", 3)

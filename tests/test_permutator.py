@@ -228,6 +228,11 @@ class TestFactorize:
             with pytest.raises(NotAPermutatorWord):
                 factorize(ex4, word(ex4, text), {1, 2})
 
+    def test_names_a_state_the_set_does_not_reach(self, ex4):
+        # a maps 1 and 2 both to 2, so the set stays inside itself but misses 1
+        with pytest.raises(NotAPermutatorWord, match="state 1 is not reached from the set"):
+            factorize(ex4, word(ex4, "a"), {1, 2})
+
     def test_concatenation_recovers_input(self, ex4):
         w = word(ex4, "cbacbacc")
         factors = factorize(ex4, w, {1, 2})

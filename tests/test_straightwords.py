@@ -734,6 +734,20 @@ class TestStreaming:
             with pytest.raises(RuntimeError, match="stopped"):
                 read(result)
 
+    def test_an_iterator_dropped_part_way_leaves_the_walk_to_resume(self, ex1, ex2, ex3, ex4):
+        for run, want in stream_cases(streaming_graphs(ex1, ex2, ex3, ex4), 107):
+            result = run()
+            it = iter(result)
+            next(it, None)
+            del it
+            assert (result.words, result.truncated) == (want.words, want.truncated)
+            assert tuple(result) == want.words
+
+    def test_equals_no_other_type(self, ex4):
+        result = straight_permutator_words(ex4, {1, 2})
+        assert result != result.words and result != list(result)
+        assert result.__eq__(result.words) is NotImplemented
+
     def test_pickles_as_its_words(self, ex4):
         result = straight_permutator_words(ex4, {1, 2}, SearchLimits(max_results=3))
         assert pickle.loads(pickle.dumps(result)) == result
@@ -802,8 +816,10 @@ class TestStreaming:
                     at_first = calls
                     list(it)
                     assert (at_first, calls) == (rows_before if first else rows, rows), run
-                    # a first word of two or more letters comes early only where
-                    # nearness is exact
+                    # a first word of two or more letters comes early when the
+                    # start's row, nearness being a lower bound on 2 + distance,
+                    # shows that no word is shorter: here in `search` and the
+                    # guided walks
                     if first is not None and len(first) > 1 and at_first < calls:
                         early[run.func.__name__] = early.get(run.func.__name__, 0) + 1
             finally:

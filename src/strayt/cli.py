@@ -305,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_straight)
 
     sp = sub.add_parser("perm", parents=[common, search],
-                        help="inspect the permutators of a state subset")
+                        help="inspect the permutators of a state subset",
+                        epilog="--max-len and --max-results apply only with --words or --minimal.")
     sp.add_argument("--set", required=True, help="comma-separated states, e.g. 3,5,8")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--words", action="store_true",

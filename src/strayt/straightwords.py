@@ -3,19 +3,20 @@
 Words come out in length order with ties broken lexicographically by
 letter position. A depth-first pass over the Cayley graph, in letter
 order, drops each word into the bucket of its length, and the buckets
-joined give that order: one pass to the length bound answers a search
-without a result cap, while a capped search deepens one length at a time
-so that it stops at the shortest words. A step onto an already visited
-node is taken only when it closes a loop at the starting node as the
-word's final letter, which is exactly the straightness condition.
+joined give that order. Each search runs one walk (`_walk`): one pass to
+the length bound answers a search without a result cap, while the walk
+of a capped search makes one pass per length, so that it stops at the
+shortest words. A step onto an already visited node is taken only when
+it closes a loop at the starting node as the word's final letter, which
+is exactly the straightness condition.
 
 A search returns at once a `WordSearch` that hands its words over while
 its walk runs. The nearness of the start's successors (below) bounds the
 least word length from below. The words of that length, if any, come
 first, and depth-first order finds them in letter order, so each is
 final the moment the walk finds it; the longer words follow when the
-pass ends. A capped search hands over each word of a pass as it finds
-it.
+pass ends. A capped walk hands over each word of a pass as it finds it,
+and marks the result truncated itself.
 
 The walk reads one byte per node, its nearness: 1 when no emitting node
 lies within the length bound, 2 when a word ending there is emitted, and
@@ -125,9 +126,12 @@ class WordSearch:
     def __init__(self, words: Iterable[Word], truncated: bool = False) -> None:
         self._words = tuple(words)  # a list while a walk appends to it
         self._truncated = truncated
-        self._walk = None  # or that walk, which readers drive through _chunks
+        self._walk = None  # or the walk, read through _chunks, or the exception that stopped it
 
-    def _chunks(self, found: list[Word], walk: Iterator[None]) -> Iterator[list[Word]]:
+    def _chunks(self, found: list[Word],
+                walk: Iterator[None] | BaseException) -> Iterator[list[Word]]:
+        if isinstance(walk, BaseException):
+            raise RuntimeError("the search was stopped by an exception") from walk
         seen = 0
         try:
             for _ in walk:
@@ -137,7 +141,7 @@ class WordSearch:
         except GeneratorExit:  # the iterator was dropped
             raise
         except BaseException as error:
-            self._walk = _stopped(error)
+            self._walk = error
             raise
         if self._walk is walk:  # the walk ended here
             self._words = tuple(found)
@@ -185,12 +189,6 @@ class WordSearch:
 
     def __reduce__(self):
         return WordSearch, (self.words, self.truncated)
-
-
-def _stopped(error: BaseException) -> Iterator[None]:
-    """The walk of a result whose walk an exception stopped."""
-    raise RuntimeError("the search was stopped by an exception") from error
-    yield
 
 
 _UNLIMITED = SearchLimits()
@@ -294,32 +292,12 @@ def _length_bound(graph: CayleyGraph, start: int,
 
 def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
             limits: SearchLimits, max_len: int, minimal: bool) -> WordSearch:
-    """The words of a search, from one walk or from one walk per length."""
-    # Without max_results, one pass to the length bound finds every word.
-    # With it, the bound deepens one length at a time and each pass hands
-    # over only the words of its own length, up to the cap: a short answer
-    # must not wait for a walk through every long path, and one word
-    # beyond the cap proves the truncation.
+    """The words of a search, handed over by its walk while it runs."""
     result = WordSearch(())
-    result._words = found = []
-    cap = limits.max_results
-    if cap is None:
-        result._walk = _walk(graph, start, near, guide, minimal, max_len, found, None)
-    else:
-        result._walk = _passes(result, graph, start, near, guide, minimal, max_len, cap)
+    result._words = []
+    result._walk = _walk(result, graph, start, near, guide, minimal, max_len,
+                         limits.max_results)
     return result
-
-
-def _passes(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | bytearray,
-            guide: tuple, minimal: bool, max_len: int, cap: int) -> Iterator[None]:
-    """One pass per length, appending to the result's words, until a word
-    beyond the cap turns up, which marks the result truncated, or a pass
-    cuts no path that could still reach an emitting node."""
-    for length in range(1, max_len + 1):
-        cut = yield from _walk(graph, start, near, guide, minimal, length, result._words, cap)
-        if not cut:
-            result._truncated = cut is None
-            return
 
 
 def _distances(near: bytearray, goals: list[int], first: Sequence[int], after: Sequence[int],
@@ -425,107 +403,115 @@ def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: i
     return near, (rows, far, ids)
 
 
-def _walk(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
-          minimal: bool, bound: int, found: list[Word], cap: int | None) -> Iterator[None]:
-    """One depth-first pass, in letter order, over the straight paths from
-    start of at most bound edges, appending its words to `found` in
-    length-then-letters order, and yielding after each word it appends
-    while it runs.
+def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | bytearray,
+          guide: tuple, minimal: bool, max_len: int, cap: int | None) -> Iterator[None]:
+    """Depth-first passes, in letter order, over the straight paths from
+    start of at most max_len edges, appending their words to the result's
+    list in length-then-letters order, and yielding after each word they
+    append while they run.
 
-    Each word goes into the bucket of its length, which depth-first order
-    fills in letter order. Since nearness bounds 2 + distance from below,
-    no word is shorter than the least nearness above 1 in the start's
-    successor row, less 1. The words of that length, if any, come first:
-    they go to `found` as the pass finds them, and the other buckets
-    follow when it ends. With a cap, the pass keeps only the words of
-    length bound, and each goes to `found` as found: returns None on a
-    word beyond the cap, which it drops, else whether some path was cut
-    at the bound.
+    Without a cap, one pass to max_len finds every word. Each word goes
+    into the bucket of its length, which depth-first order fills in letter
+    order. Since nearness bounds 2 + distance from below, no word is
+    shorter than the least nearness above 1 in the start's successor row,
+    less 1. The words of that length, if any, come first: they go to the
+    result as the pass finds them, and the other buckets follow when it
+    ends. With a cap, the bound deepens one length at a time, and each pass
+    hands over only the words of its own length, as it finds them: a short
+    answer must not wait for a walk through every long path, and one word
+    beyond the cap proves the truncation. That word, which is dropped,
+    marks the result truncated and ends the walk; a pass that cuts no path
+    at its bound ends it too, since no longer word is left.
 
     The path is its last node, that node's word and the unread steps of
     its successor row, over one frame of the same three for each node
-    before it, so each node on the path reads its row once. `near` holds
-    each node's nearness (see the module docstring). A guided search passes
-    the guide from `_guide`, whose ids map each node seen to its set; a
-    nearness of 0, never in the start's row, is not yet known, and the
-    walk reads it from the guide the first time it sees the node. Other
-    searches pass _NO_GUIDE and no 0 bytes.
+    before it, so each node on the path reads its row once per pass; the
+    start reads its row once, and every pass shares one visited mask. `near`
+    holds each node's nearness (see the module docstring). A guided search
+    passes the guide from `_guide`, whose ids map each node seen to its
+    set; a nearness of 0, never in the start's row, is not yet known, and
+    the walk reads it from the guide the first time it sees the node.
+    Other searches pass _NO_GUIDE and no 0 bytes.
     """
     successors = graph.successors
     rows, far, ids = guide
+    found = result._words
     closing = 2 if near[start] == 2 else 1  # a step back to start emits or is dead
-    limit = bound + 2
     row = successors(start)
-    if cap is not None:
-        shortest = eager = bound
-    else:  # no word is shorter than eager; 254 where the row reads 255
-        shortest, least = 1, 255
+    if cap is None:  # one pass; no word is shorter than eager, 254 where the row reads 255
+        least = 255
         for nxt in row:
             f = closing if nxt == start else near[nxt]
             if 1 < f < least:
                 least = f
-        eager = least - 1
-    buckets: list[list[Word]] = [[], []]
-    cut = False
-
-    depth = 1  # length of a word ending with the next step
-    bucket = buckets[1]
-    node, prefix, steps = start, (), enumerate(row)
-    frames: list[tuple] = []
+        shortest, eager, bounds = 1, least - 1, (max_len,)
+    else:  # one pass per length, which keeps only the words of that length
+        bounds = range(1, max_len + 1)
     visited = bytearray(len(near))
     visited[start] = 1
-    while True:
-        for letter, nxt in steps:
-            if visited[nxt]:
-                if nxt != start:
-                    continue
-                f = closing
-            else:
-                f = near[nxt]
-                if not f:  # first seen: its set is its parent's set moved by the letter
-                    g = ids[nxt] = rows[ids[node]][letter]
-                    f = near[nxt] = far[g]
-            if f < 3:
-                if f < 2:
-                    continue
-                word = prefix + (letter,)
-                if depth >= shortest:
-                    if depth != eager:
-                        bucket.append(word)
-                    elif len(found) == cap:
-                        return None
-                    else:
-                        found.append(word)
-                        yield
-                if minimal or nxt == start:
-                    continue
-                if depth == bound:
+    for bound in bounds:
+        if cap is not None:
+            shortest = eager = bound
+        limit = bound + 2
+        buckets: list[list[Word]] = [[], []]
+        cut = False
+        depth = 1  # length of a word ending with the next step
+        bucket = buckets[1]
+        node, prefix, steps = start, (), enumerate(row)
+        frames: list[tuple] = []
+        while True:
+            for letter, nxt in steps:
+                if visited[nxt]:
+                    if nxt != start:
+                        continue
+                    f = closing
+                else:
+                    f = near[nxt]
+                    if not f:  # first seen: its set is its parent's set moved by the letter
+                        g = ids[nxt] = rows[ids[node]][letter]
+                        f = near[nxt] = far[g]
+                if f < 3:
+                    if f < 2:
+                        continue
+                    word = prefix + (letter,)
+                    if depth >= shortest:
+                        if depth != eager:
+                            bucket.append(word)
+                        elif len(found) == cap:
+                            result._truncated = True
+                            return
+                        else:
+                            found.append(word)
+                            yield
+                    if minimal or nxt == start:
+                        continue
+                    if depth == bound:
+                        cut = True
+                        continue
+                elif depth + f > limit:  # the nearest emitting node lies beyond the bound
                     cut = True
                     continue
-            elif depth + f > limit:  # the nearest emitting node lies beyond the bound
-                cut = True
-                continue
-            else:
-                word = prefix + (letter,)
-            visited[nxt] = 1
-            frames.append((node, prefix, steps))
-            node, prefix, steps = nxt, word, enumerate(successors(nxt))
-            depth += 1
-            if len(buckets) == depth:
-                buckets.append([])
-            bucket = buckets[depth]
-            break
-        else:
-            if not frames:  # the start's row has run out
+                else:
+                    word = prefix + (letter,)
+                visited[nxt] = 1
+                frames.append((node, prefix, steps))
+                node, prefix, steps = nxt, word, enumerate(successors(nxt))
+                depth += 1
+                if len(buckets) == depth:
+                    buckets.append([])
+                bucket = buckets[depth]
                 break
-            visited[node] = 0
-            node, prefix, steps = frames.pop()
-            depth -= 1
-            bucket = buckets[depth]
-    for bucket in buckets:
-        found += bucket
-    if cap is not None:
-        return cut
+            else:
+                if not frames:  # the start's row has run out
+                    break
+                visited[node] = 0
+                node, prefix, steps = frames.pop()
+                depth -= 1
+                bucket = buckets[depth]
+        for bucket in buckets:
+            found += bucket
+        if not cut:
+            return
 
 
 def all_straight_words(graph: CayleyGraph, target: int | None = None,

@@ -10,8 +10,11 @@ out in commands.txt order, and those of lines no longer listed are
 dropped. So a command added after a change to the program is recorded
 from that change, while the older entries keep the output they were
 recorded with. To record an entry again, delete it from expected.json by
-hand first. Only run it on a tree whose output is known to be right: the
-test `tests/test_cli_corpus.py` holds every later tree to the entries.
+hand first. A line may start with NAME=value tokens, as in a shell: they
+set those environment variables for that one command only, and the
+environment is restored after it. Only run it on a tree whose output is
+known to be right: the test `tests/test_cli_corpus.py` holds every later
+tree to the entries.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 from strayt import fixture_path
 from strayt.cli import main
@@ -38,11 +43,20 @@ def commands() -> list[str]:
 
 
 def run(command: str) -> dict:
-    """The exit code, stdout and stderr of one command line."""
+    """The exit code, stdout and stderr of one command line.
+
+    Leading NAME=value tokens, as in a shell, set that environment
+    variable for this one command; the environment is restored after it.
+    """
     argv = [re.sub(r"\{(\w+)\}", lambda m: str(fixture_path(m.group(1))), token)
             for token in shlex.split(command)]
+    env = {}
+    while argv and re.fullmatch(r"[A-Za-z_]\w*=.*", argv[0]):
+        name, _, value = argv.pop(0).partition("=")
+        env[name] = value
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         code = main(argv)
     return {"command": command, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}

@@ -361,6 +361,13 @@ class TestPermCommand:
         assert code == 2 and not out
         assert err == "error: --max-len and --max-results apply only with --words or --minimal\n"
 
+    def test_help_says_the_caps_need_a_search(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["perm", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exited.value.code == 0
+        assert "--max-len and --max-results apply only with --words or --minimal." in out
+
 
 class TestFactorizeCommand:
     def test_two_factors(self, capsys):

@@ -727,12 +727,16 @@ class TestStreaming:
         result = all_straight_words(graph)
         it = iter(result)
         assert next(it) == (0,)
-        with pytest.raises(Interrupt):
+        with pytest.raises(Interrupt) as stopped:
             list(it)
         graph.successors = rows
         for read in (lambda r: r.words, lambda r: r.truncated, list, len):
-            with pytest.raises(RuntimeError, match="stopped"):
+            with pytest.raises(RuntimeError, match="stopped") as raised:
                 read(result)
+            # each read names the exception that stopped the walk, and
+            # wraps it once, however often the result is read
+            assert raised.value.__cause__ is stopped.value
+            assert stopped.value.__cause__ is None
 
     def test_an_iterator_dropped_part_way_leaves_the_walk_to_resume(self, ex1, ex2, ex3, ex4):
         for run, want in stream_cases(streaming_graphs(ex1, ex2, ex3, ex4), 107):

@@ -10,9 +10,10 @@ presentation's `.words` sidecar file, so no generator name starts with `@`.
 
 Exit codes: 0 success, 2 unparseable input, 3 target not in the semigroup,
 4 word does not permute the chosen set, 5 a search dropped a word beyond
---max-results or enumeration passed its cap. The environment variable
-STRAYT_MAX_ELEMENTS caps enumeration as a safety valve (unset means
-unlimited).
+--max-results or enumeration passed its cap, 130 interrupted (Ctrl-C),
+141 standard output closed by its reader (128 + SIGPIPE, as shells report
+for other tools). The environment variable STRAYT_MAX_ELEMENTS caps
+enumeration as a safety valve; unset or empty means unlimited.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ EXIT_PARSE = 2
 EXIT_NOT_IN_SEMIGROUP = 3
 EXIT_NOT_PERMUTATOR = 4
 EXIT_TRUNCATED = 5
+EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 # errors with an exit code of their own; every other error is EXIT_PARSE
 _EXIT_CODES = ((NotInSemigroup, EXIT_NOT_IN_SEMIGROUP), (NotAPermutatorWord, EXIT_NOT_PERMUTATOR),
                (EnumerationLimitExceeded, EXIT_TRUNCATED))
@@ -176,6 +179,8 @@ def _load_graph(path) -> CayleyGraph:
             max_elements = int(cap)
         except ValueError:
             raise StraytError(f"STRAYT_MAX_ELEMENTS must be an integer, got {cap!r}") from None
+        if max_elements < 1:
+            raise StraytError(f"STRAYT_MAX_ELEMENTS must be at least 1, got {max_elements}")
     return enumerate_semigroup(p, max_elements=max_elements)
 
 
@@ -343,6 +348,16 @@ def main(argv=None) -> int:
     except (StraytError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for error, code in _EXIT_CODES if isinstance(exc, error)), EXIT_PARSE)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        try:  # the reader left: what is still buffered goes nowhere
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor, as in an in-process caller's stream
+            return EXIT_BROKEN_PIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -33,21 +33,21 @@ where the bytes come from:
 - the permutators of a state set Y, and the paths to a goal node t: a
   guide, the forward orbit of one state set under the generators' action
   on subsets (Linton, Pfeiffer, Robertson and Ruskuc, Computing
-  transformation semigroups, 2002). The walk carries, for each node it
-  sees, the set the node's map makes of the starting set: a child's set
-  is one table lookup from its parent's, and the node's nearness is its
-  set's distance to the goal set, read the first time the walk sees the
-  node. For Y the set of node u is Y·u, and u·v permutes Y exactly when
-  v maps Y·u onto Y; sets smaller than Y are dropped, since images never
-  grow. For t the set of u is the pairs (u(x), t(x)), one per state x,
-  and a letter moves the first of each pair: u·v = t exactly when v maps
-  them onto the pairs (t(x), t(x)). A set in which one first has two
-  seconds is dropped, since u then joins two states that t keeps apart.
-  Both distances are exact, so a node emits exactly when its set is the
-  goal set. When t keeps all states apart, its pairs name the node u
-  itself, so the orbit is as large as the part of the graph it covers
-  and an orbit edge costs more than a graph edge: such a goal goes to
-  `search`, with t as the only emitting node;
+  transformation semigroups, 2002). A node's set is the one its map
+  makes of the starting set, and the walk carries along its path the row
+  of sets each node's letters lead to, one lookup from its parent's row;
+  a node's nearness is its set's distance to the goal set, read the
+  first time the walk sees the node. For Y the set of node u is Y·u, and
+  u·v permutes Y exactly when v maps Y·u onto Y; sets smaller than Y are
+  dropped, since images never grow. For t the set of u is the pairs
+  (u(x), t(x)), one per state x, and a letter moves the first of each
+  pair: u·v = t exactly when v maps them onto the pairs (t(x), t(x)). A
+  set in which one first has two seconds is dropped, since u then joins
+  two states that t keeps apart. Both distances are exact, so a node
+  emits exactly when its set is the goal set. When t keeps all states
+  apart, its pairs name the node u itself, so the orbit is as large as
+  the part of the graph it covers and an orbit edge costs more than a
+  graph edge: such a goal goes to `search`, as its only emitting node;
 - a walk too short to pay for a guide, on a graph of few edges or under
   a tight length bound (`_worth_a_guide`): every node that does not emit
   reads 3, the weakest bound, the permutators of Y coming from the
@@ -192,7 +192,6 @@ class WordSearch:
 
 
 _UNLIMITED = SearchLimits()
-_NO_GUIDE = (None, None, None)
 
 
 def permuting(graph: CayleyGraph, states: Sequence[int]) -> bytes:
@@ -274,7 +273,7 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     near = bytearray(b"\x01") * size
     _distances(near, goals, first, after, k, depths, max_len)
     del depths, first, after  # 4 bytes per edge and 8 per node, which the walk never reads
-    return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, minimal)
+    return _deepen(graph, start, near, limits, max_len, minimal)
 
 
 def _length_bound(graph: CayleyGraph, start: int,
@@ -290,8 +289,8 @@ def _length_bound(graph: CayleyGraph, start: int,
     return limits, size if limits.max_length is None else min(limits.max_length, size)
 
 
-def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, guide: tuple,
-            limits: SearchLimits, max_len: int, minimal: bool) -> WordSearch:
+def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, limits: SearchLimits,
+            max_len: int, minimal: bool, guide: tuple | None = None) -> WordSearch:
     """The words of a search, handed over by its walk while it runs."""
     result = WordSearch(())
     result._words = []
@@ -333,10 +332,10 @@ def _distances(near: bytearray, goals: list[int], first: Sequence[int], after: S
         frontier = fresh
 
 
-def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: int,
-           keyof: Callable[[bytes], Hashable] = frozenset) -> tuple[bytearray, tuple]:
-    """The forward orbit of the state set `seed` under the generators, as
-    far as a walk of at most `bound` letters from start can use it.
+def _guide(tables: Sequence[bytes], seed: bytes, goal: Hashable, bound: int,
+           keyof: Callable[[bytes], Hashable] = frozenset) -> tuple[bytearray, list]:
+    """The forward orbit of the state set `seed` under the generators'
+    `tables`, as far as a walk of at most `bound` letters can use it.
 
     A letter moves every member of a set, and keyof(members) names the
     set: frozenset for plain sets, or the frozenset of pairs that matches
@@ -344,18 +343,14 @@ def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: i
     set smaller than the goal set, or one in which a member has two
     seconds, is dropped.
 
-    Returns the walk's nearness mask and its guide (rows, far, ids). The
-    mask reads 0, not yet known, but at start and its successors, the row
-    the walk reads first; ids maps these nodes to their sets, start to
-    set 0. Set 0 is `seed` and the others follow in breadth-first order;
-    rows[i][letter] is the set that the letter maps set i onto, for each
-    set i that a path of fewer than `bound` letters reaches, and -1 for a
-    dropped set, or one other than the goal set first reached at the
-    bound. far[i] is 2 + the fewest letters of a word mapping set i onto
-    the goal set, or 1 when no path through set i can reach the goal set
-    within the bound; far[-1] is 1.
+    Returns the guide (far, rows). Set 0 is `seed` and the others follow
+    in breadth-first order; rows[i][letter] is the set that the letter
+    maps set i onto, for each set i that a path of fewer than `bound`
+    letters reaches, and -1 for a dropped set, or one other than the goal
+    set first reached at the bound. far[i] is 2 + the fewest letters of a
+    word mapping set i onto the goal set, or 1 when no path through set i
+    can reach the goal set within the bound; far[-1] is 1.
     """
-    tables = graph.presentation.tables
     least = len(goal)
     index = {keyof(seed): 0}
     get = index.get
@@ -393,18 +388,11 @@ def _guide(graph: CayleyGraph, start: int, seed: bytes, goal: Hashable, bound: i
     far = bytearray(b"\x01") * (len(sets) + 1)
     _distances(far, [index[goal]] if goal in index else [], first, after, len(tables),
                depths, bound)
-    near = bytearray(graph.size)
-    near[start] = far[0]
-    ids = {start: 0}
-    for nxt, g in zip(graph.successors(start), rows[0]):
-        if not near[nxt]:
-            ids[nxt] = g
-            near[nxt] = far[g]
-    return near, (rows, far, ids)
+    return far, rows
 
 
 def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | bytearray,
-          guide: tuple, minimal: bool, max_len: int, cap: int | None) -> Iterator[None]:
+          guide: tuple | None, minimal: bool, max_len: int, cap: int | None) -> Iterator[None]:
     """Depth-first passes, in letter order, over the straight paths from
     start of at most max_len edges, appending their words to the result's
     list in length-then-letters order, and yielding after each word they
@@ -423,25 +411,28 @@ def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | byte
     marks the result truncated and ends the walk; a pass that cuts no path
     at its bound ends it too, since no longer word is left.
 
-    The path is its last node, that node's word and the unread steps of
-    its successor row, over one frame of the same three for each node
-    before it, so each node on the path reads its row once per pass; the
-    start reads its row once, and every pass shares one visited mask. `near`
-    holds each node's nearness (see the module docstring). A guided search
-    passes the guide from `_guide`, whose ids map each node seen to its
-    set; a nearness of 0, never in the start's row, is not yet known, and
-    the walk reads it from the guide the first time it sees the node.
-    Other searches pass _NO_GUIDE and no 0 bytes.
+    The path is its last node, that node's word, the unread steps of its
+    successor row and, in a guided walk, its orbit row `sets`, over one
+    frame of the same four for each node before it, so each node on the
+    path reads its row once per pass; the start reads its row once, and
+    every pass shares one visited mask. `near` holds each node's nearness
+    (see the module docstring). A guided search passes a zeroed `near`
+    and the guide (far, rows) from `_guide`: the walk reads an unknown 0
+    as far[sets[letter]] the first time it sees the node, and entering
+    the node moves `sets` to rows[sets[letter]], rows[0] at start. A
+    node's set depends on the node alone, and every node entered lies
+    fewer than max_len letters from start, so its set has a row. Other
+    searches pass no guide and no 0 bytes, and their `sets` stays None.
     """
     successors = graph.successors
-    rows, far, ids = guide
+    far, rows = guide or (None, None)
     found = result._words
-    closing = 2 if near[start] == 2 else 1  # a step back to start emits or is dead
+    closing = 2 if (near[start] or far[0]) == 2 else 1  # a step back to start emits or is dead
     row = successors(start)
     if cap is None:  # one pass; no word is shorter than eager, 254 where the row reads 255
         least = 255
-        for nxt in row:
-            f = closing if nxt == start else near[nxt]
+        for letter, nxt in enumerate(row):
+            f = closing if nxt == start else near[nxt] or far[rows[0][letter]]
             if 1 < f < least:
                 least = f
         shortest, eager, bounds = 1, least - 1, (max_len,)
@@ -457,7 +448,7 @@ def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | byte
         cut = False
         depth = 1  # length of a word ending with the next step
         bucket = buckets[1]
-        node, prefix, steps = start, (), enumerate(row)
+        node, prefix, steps, sets = start, (), enumerate(row), rows and rows[0]
         frames: list[tuple] = []
         while True:
             for letter, nxt in steps:
@@ -468,8 +459,7 @@ def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | byte
                 else:
                     f = near[nxt]
                     if not f:  # first seen: its set is its parent's set moved by the letter
-                        g = ids[nxt] = rows[ids[node]][letter]
-                        f = near[nxt] = far[g]
+                        f = near[nxt] = far[sets[letter]]
                 if f < 3:
                     if f < 2:
                         continue
@@ -494,8 +484,9 @@ def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | byte
                 else:
                     word = prefix + (letter,)
                 visited[nxt] = 1
-                frames.append((node, prefix, steps))
+                frames.append((node, prefix, steps, sets))
                 node, prefix, steps = nxt, word, enumerate(successors(nxt))
+                sets = rows and rows[sets[letter]]
                 depth += 1
                 if len(buckets) == depth:
                     buckets.append([])
@@ -505,7 +496,7 @@ def _walk(result: WordSearch, graph: CayleyGraph, start: int, near: bytes | byte
                 if not frames:  # the start's row has run out
                     break
                 visited[node] = 0
-                node, prefix, steps = frames.pop()
+                node, prefix, steps, sets = frames.pop()
                 depth -= 1
                 bucket = buckets[depth]
         for bucket in buckets:
@@ -523,7 +514,7 @@ def all_straight_words(graph: CayleyGraph, target: int | None = None,
     """
     if target is None:
         limits, max_len = _length_bound(graph, 0, limits)
-        return _deepen(graph, 0, b"\x02" * graph.size, _NO_GUIDE, limits, max_len, False)
+        return _deepen(graph, 0, b"\x02" * graph.size, limits, max_len, False)
     return straight_paths(graph, 0, target, limits)
 
 
@@ -544,15 +535,16 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     if not _worth_a_guide(graph, max_len):
         near = bytearray(b"\x03") * graph.size
         near[goal] = 2
-        return _deepen(graph, start, near, _NO_GUIDE, limits, max_len, True)
+        return _deepen(graph, start, near, limits, max_len, True)
     seconds = graph.images(goal)
     if len(set(seconds)) == len(seconds):
         emit = bytearray(graph.size)
         emit[goal] = 1
         return search(graph, start, emit, limits, True)
-    near, guide = _guide(graph, start, graph.images(start), frozenset(zip(seconds, seconds)),
-                         max_len, lambda members: frozenset(zip(members, seconds)))
-    return _deepen(graph, start, near, guide, limits, max_len, True)
+    guide = _guide(graph.presentation.tables, graph.images(start),
+                   frozenset(zip(seconds, seconds)), max_len,
+                   lambda members: frozenset(zip(members, seconds)))
+    return _deepen(graph, start, bytearray(graph.size), limits, max_len, True, guide)
 
 
 def straight_permutator_words(graph: CayleyGraph, states: Sequence[int],
@@ -571,10 +563,10 @@ def permutator_search(graph: CayleyGraph, states: Sequence[int],
     limits, max_len = _length_bound(graph, 0, limits)
     if not _worth_a_guide(graph, max_len):
         near = permuting(graph, states).translate(_UNKNOWN)
-        return _deepen(graph, 0, near, _NO_GUIDE, limits, max_len, minimal)
+        return _deepen(graph, 0, near, limits, max_len, minimal)
     members = bytes(sorted(stateset(states, graph.presentation.n)))
-    near, guide = _guide(graph, 0, members, frozenset(members), max_len)
-    return _deepen(graph, 0, near, guide, limits, max_len, minimal)
+    guide = _guide(graph.presentation.tables, members, frozenset(members), max_len)
+    return _deepen(graph, 0, bytearray(graph.size), limits, max_len, minimal, guide)
 
 
 def _worth_a_guide(graph: CayleyGraph, bound: int) -> bool:

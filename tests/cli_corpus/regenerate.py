@@ -12,9 +12,13 @@ from that change, while the older entries keep the output they were
 recorded with. To record an entry again, delete it from expected.json by
 hand first. A line may start with NAME=value tokens, as in a shell: they
 set those environment variables for that one command only, and the
-environment is restored after it. Only run it on a tree whose output is
-known to be right: the test `tests/test_cli_corpus.py` holds every later
-tree to the entries.
+environment is restored after it. In a command, `{corpus}` stands for
+this directory, which holds the corpus's own faulty presentation files,
+and any other `{name}` for the bundled fixture of that name; this
+directory's path reads `{corpus}` again in the recorded output, so the
+entries do not depend on where the checkout lives. Only run it on a
+tree whose output is known to be right: the test
+`tests/test_cli_corpus.py` holds every later tree to the entries.
 """
 
 from __future__ import annotations
@@ -47,9 +51,13 @@ def run(command: str) -> dict:
 
     Leading NAME=value tokens, as in a shell, set that environment
     variable for this one command; the environment is restored after it.
+    `{corpus}` is this directory and another `{name}` a bundled fixture;
+    the output names this directory `{corpus}`.
     """
-    argv = [re.sub(r"\{(\w+)\}", lambda m: str(fixture_path(m.group(1))), token)
-            for token in shlex.split(command)]
+    def path(m: re.Match) -> str:
+        return str(HERE if m.group(1) == "corpus" else fixture_path(m.group(1)))
+
+    argv = [re.sub(r"\{(\w+)\}", path, token) for token in shlex.split(command)]
     env = {}
     while argv and re.fullmatch(r"[A-Za-z_]\w*=.*", argv[0]):
         name, _, value = argv.pop(0).partition("=")
@@ -58,8 +66,10 @@ def run(command: str) -> dict:
     with (mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
         code = main(argv)
-    return {"command": command, "exit": code, "stdout": out.getvalue(),
-            "stderr": err.getvalue()}
+    here = str(HERE)
+    return {"command": command, "exit": code,
+            "stdout": out.getvalue().replace(here, "{corpus}"),
+            "stderr": err.getvalue().replace(here, "{corpus}")}
 
 
 if __name__ == "__main__":

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import strayt
@@ -221,6 +226,7 @@ class TestOrderCommand:
         monkeypatch.setenv("STRAYT_MAX_ELEMENTS", cap)
         code, out, err = run(capsys, "order", fixture_path("ex4_abc"))
         assert code == 2 and not out and "at least 1" in err
+        assert err == f"error: STRAYT_MAX_ELEMENTS must be at least 1, got {cap}\n"
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv("STRAYT_MAX_ELEMENTS", "lots")
@@ -454,3 +460,29 @@ class TestExitCodes:
         code, out, err = run(capsys, "order", fixture_path("ex4_abc"))
         assert code == self.DOCUMENTED.get(error.__name__, 2)
         assert not out and err == f"error: {exc}\n"
+
+    def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
+        # 7,040 words, far more than a pipe buffers, so the writer meets the closed pipe
+        f = tmp_path / "S5.tsg"
+        f.write_text("states 5\ns = (1,2)\nc = (1,2,3,4,5)\n")
+        src = str(Path(strayt.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "strayt", "straight", str(f), "--all", "--max-len", "18"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (first, err, proc.returncode) == (b"s\t(1,2)\n", b"", 141)
+        assert "141 standard output closed" in " ".join(strayt.cli.__doc__.split())
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(graph, target, limits):
+            yield (0,)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(strayt.cli, "all_straight_words", interrupted)
+        code, out, err = run(capsys, "straight", fixture_path("ex4_abc"), "--all")
+        assert (code, out, err) == (130, ["a\t[1;2]"], "error: interrupted\n")
+        assert "130 interrupted" in " ".join(strayt.cli.__doc__.split())

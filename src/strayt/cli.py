@@ -1,12 +1,12 @@
 """Command line interface and the presentation file format.
 
-A presentation file holds a `states <n>` header followed by one generator
-per line, either `<name> = <linear notation>` or
+A presentation file, in UTF-8, holds a `states <n>` header followed by
+one generator per line, either `<name> = <linear notation>` or
 `<name> = images: i1 i2 ... in`, with `#` starting a comment line. Words
 on the command line are generator names separated by whitespace or dots,
 so neither generator nor alias names contain them (single-character names
 may also be run together), and `@name` expands a definition from the
-presentation's `.words` sidecar file, so no generator name starts with `@`.
+presentation's UTF-8 `.words` sidecar, so no generator name starts with `@`.
 
 Exit codes: 0 success, 2 unparseable input, 3 target not in the semigroup,
 4 word does not permute the chosen set, 5 a search dropped a word beyond
@@ -65,8 +65,8 @@ def fixture_path(name: str) -> Path:
 
 def _content_lines(path):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise PresentationFileError(path, 0, str(exc)) from None
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -159,10 +159,13 @@ def parse_cli_word(p: Presentation, text: str,
 
 
 def _resolve_target(graph: CayleyGraph, text: str, aliases: dict[str, str]) -> int:
-    """Turn a target argument (word, linear form, or image list) into a node."""
+    """A target argument's node: a word if it reads as one, else a map's."""
     text = text.strip()
-    if text and not (text.startswith("images:") or text[0].isdigit() or text[0] in "[("):
+    try:
         return graph.walk(parse_cli_word(graph.presentation, text, aliases))
+    except ValueError:
+        if text and not (text.startswith("images:") or text[0].isdigit() or text[0] in "[("):
+            raise
     s = _parse_map(text, graph.presentation.n)
     node = graph.element_index(s)
     if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
@@ -189,10 +192,6 @@ def _parse_states(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise StraytError(f"bad state set {text!r}; expected e.g. 3,5,8") from None
-
-
-def _limits(args) -> SearchLimits:
-    return SearchLimits(max_length=args.max_len, max_results=args.max_results)
 
 
 def _graph_and_word(args) -> tuple[CayleyGraph, tuple[int, ...]]:
@@ -227,7 +226,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_straight(args) -> int:
-    limits = _limits(args)
+    limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
     graph = _load_graph(args.file)
     if args.all:
         target = None
@@ -240,7 +239,7 @@ def cmd_straight(args) -> int:
 def cmd_perm(args) -> int:
     if not (args.words or args.minimal) and (args.max_len, args.max_results) != (None, None):
         raise StraytError("--max-len and --max-results apply only with --words or --minimal")
-    limits = _limits(args)
+    limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
     graph = _load_graph(args.file)
     states = _parse_states(args.set)
     if args.words:

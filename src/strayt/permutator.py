@@ -87,16 +87,15 @@ def minimal_straight_permutators(graph: CayleyGraph, states: Sequence[int],
     return permutator_search(graph, states, limits, minimal=True)
 
 
-def _require_permutator(e: bytes, members: frozenset[int]) -> None:
-    image = {e[y - 1] for y in members}
-    if image == members:
-        return
+def _not_a_permutator(e: bytes, members: frozenset[int]) -> NotAPermutatorWord:
+    """The error for a word whose map e does not map the set onto itself: it
+    names the first member mapped outside the set, else the least unreached."""
     for y in sorted(members):
         if e[y - 1] not in members:
-            raise NotAPermutatorWord(
+            return NotAPermutatorWord(
                 f"word does not permute {sorted(members)}: state {y} maps to {e[y - 1]}")
-    lost = min(members - image)
-    raise NotAPermutatorWord(
+    lost = min(members.difference([e[y - 1] for y in members]))
+    return NotAPermutatorWord(
         f"word does not permute {sorted(members)}: state {lost} is not reached from the set")
 
 
@@ -111,13 +110,14 @@ def factorize(graph: CayleyGraph, word: Sequence[int],
     Cuts are read off the word's own trajectory: when a prefix u permutes
     the set, u followed by v maps the set onto v's image of it, so the
     running prefix of each factor permutes exactly where the whole prefix
-    does.
+    does. Each distinct node of the trajectory is tested once.
     """
     members = stateset(states, graph.presentation.n)
     nodes = graph.trajectory(word)
-    _require_permutator(graph.images(nodes[-1]), members)
     hits = set(filter(_node_permutes(graph, members), set(nodes[1:])))
-    # the last node permutes (checked above), so the last cut ends the word
+    if nodes[-1] not in hits:
+        raise _not_a_permutator(graph.images(nodes[-1]), members)
+    # the last node permutes, so the last cut ends the word
     cuts = list(compress(range(1, len(nodes)), map(hits.__contains__, nodes[1:])))
     word = tuple(word)
     return [word[begin:end] for begin, end in zip([0] + cuts, cuts)]

@@ -3,12 +3,12 @@
 Words come out in length order with ties broken lexicographically by
 letter position. A depth-first pass over the Cayley graph, in letter
 order, drops each word into the bucket of its length, and the buckets
-joined give that order. Each search runs one walk (`_walk`): one pass to
-the length bound answers a search without a result cap, while the walk
-of a capped search makes one pass per length, so that it stops at the
-shortest words. A step onto an already visited node is taken only when
-it closes a loop at the starting node as the word's final letter, which
-is exactly the straightness condition.
+joined give that order. Each search runs one walk (`_walk`), given only
+a length bound and a result cap (`_length_bound`): one pass to the bound
+answers an uncapped search, and a capped walk makes one pass per length,
+so that it stops at the shortest words. A step onto an already visited
+node is taken only when it closes a loop at the starting node as the
+word's final letter, which is exactly the straightness condition.
 
 A search returns at once a `WordSearch` that hands its words over while
 its walk runs. The nearness of the start's successors (below) bounds the
@@ -191,9 +191,6 @@ class WordSearch:
         return WordSearch, (self.words, self.truncated)
 
 
-_UNLIMITED = SearchLimits()
-
-
 def permuting(graph: CayleyGraph, states: Sequence[int]) -> bytes:
     """Byte mask over nodes: 1 where the node's map permutes the state set.
 
@@ -234,14 +231,14 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     0..size-1, or a mask that is not one byte per node, raises ValueError.
 
     The walk enters only nodes from which an emitting node lies within the
-    length left. A breadth-first pass goes forward from start one letter
-    at a time, as far as the length bound, until a level is empty; with
-    minimal it goes no further than an emitting node, since no minimal
-    path passes one. It notes each node's depth when it first sees the
-    node and keeps each edge it crosses reversed; the distances back from
-    the emitting nodes it met (`_distances`) are the walk's nearness.
+    length left. A breadth-first pass reads one queue, which grows while it
+    is read, from start; it expands no node at the length bound, nor with
+    minimal an emitting node, since no minimal path passes one. It notes
+    each node's depth when it first sees the node and keeps each edge it
+    crosses reversed; the distances back from the emitting nodes it met
+    (`_distances`) are the walk's nearness.
     """
-    limits, max_len = _length_bound(graph, start, limits)
+    max_len, cap = _length_bound(graph, start, limits)
     size, k = graph.size, graph.num_letters
     if len(emit) != size:
         raise ValueError(f"emit mask has {len(emit)} bytes, expected {size}")
@@ -251,51 +248,47 @@ def search(graph: CayleyGraph, start: int, emit: bytes | bytearray,
     after = array("i", [-1]) * (size * k)
     depths[start] = 0
     goals = [start] if emit[start] else []
-    level = [start]
-    for depth in range(1, max_len + 1):  # depth: that of the nodes level leads to
-        fresh = []
-        for node in level:
-            e = node * k
-            for nxt in successors(node):
-                after[e] = f = first[nxt]
-                first[nxt] = e
-                e += 1
-                if f < 0 and nxt != start:  # the first edge into nxt
-                    depths[nxt] = depth
-                    if emit[nxt]:
-                        goals.append(nxt)
-                        if minimal:
-                            continue
-                    fresh.append(nxt)
-        if not fresh:
+    queue = [start]
+    for node in queue:  # grows while it is read
+        depth = depths[node] + 1  # that of the nodes it leads to
+        if depth > max_len:
             break
-        level = fresh
+        e = node * k
+        for nxt in successors(node):
+            after[e] = f = first[nxt]
+            first[nxt] = e
+            e += 1
+            if f < 0 and nxt != start:  # the first edge into nxt
+                depths[nxt] = depth
+                if emit[nxt]:
+                    goals.append(nxt)
+                    if minimal:
+                        continue
+                queue.append(nxt)
     near = bytearray(b"\x01") * size
     _distances(near, goals, first, after, k, depths, max_len)
-    del depths, first, after  # 4 bytes per edge and 8 per node, which the walk never reads
-    return _deepen(graph, start, near, limits, max_len, minimal)
+    return _deepen(graph, start, near, max_len, cap, minimal)
 
 
 def _length_bound(graph: CayleyGraph, start: int,
-                  limits: SearchLimits | None) -> tuple[SearchLimits, int]:
-    """The limits, and the length bound: max_length, but never more than
-    the node count, since no straight trajectory uses more edges than
-    there are nodes. A start outside the graph raises ValueError."""
+                  limits: SearchLimits | None) -> tuple[int, int | None]:
+    """The length bound, max_length but never more than the node count (no
+    straight trajectory has more edges), and the result cap, max_results,
+    of the limits. A start outside the graph raises ValueError."""
     size = graph.size
     if not 0 <= start < size:
         raise ValueError(f"start node {start} is outside 0..{size - 1}")
     if limits is None:
-        limits = _UNLIMITED
-    return limits, size if limits.max_length is None else min(limits.max_length, size)
+        return size, None
+    return size if limits.max_length is None else min(limits.max_length, size), limits.max_results
 
 
-def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, limits: SearchLimits,
-            max_len: int, minimal: bool, guide: tuple | None = None) -> WordSearch:
-    """The words of a search, handed over by its walk while it runs."""
+def _deepen(graph: CayleyGraph, start: int, near: bytes | bytearray, max_len: int,
+            cap: int | None, minimal: bool, guide: tuple | None = None) -> WordSearch:
+    """A search's result: no words yet, and a walk, not started, that hands them over."""
     result = WordSearch(())
     result._words = []
-    result._walk = _walk(result, graph, start, near, guide, minimal, max_len,
-                         limits.max_results)
+    result._walk = _walk(result, graph, start, near, guide, minimal, max_len, cap)
     return result
 
 
@@ -513,8 +506,8 @@ def all_straight_words(graph: CayleyGraph, target: int | None = None,
     given or the target is node 0.
     """
     if target is None:
-        limits, max_len = _length_bound(graph, 0, limits)
-        return _deepen(graph, 0, b"\x02" * graph.size, limits, max_len, False)
+        max_len, cap = _length_bound(graph, 0, limits)
+        return _deepen(graph, 0, b"\x02" * graph.size, max_len, cap, False)
     return straight_paths(graph, 0, target, limits)
 
 
@@ -529,13 +522,13 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     enough to pay for it is guided by the orbit of the pairs
     (start(x), goal(x)), unless goal keeps all states apart.
     """
-    limits, max_len = _length_bound(graph, start, limits)
+    max_len, cap = _length_bound(graph, start, limits)
     if not 0 <= goal < graph.size:
         raise ValueError(f"goal node {goal} is outside 0..{graph.size - 1}")
     if not _worth_a_guide(graph, max_len):
         near = bytearray(b"\x03") * graph.size
         near[goal] = 2
-        return _deepen(graph, start, near, limits, max_len, True)
+        return _deepen(graph, start, near, max_len, cap, True)
     seconds = graph.images(goal)
     if len(set(seconds)) == len(seconds):
         emit = bytearray(graph.size)
@@ -544,7 +537,7 @@ def straight_paths(graph: CayleyGraph, start: int, goal: int,
     guide = _guide(graph.presentation.tables, graph.images(start),
                    frozenset(zip(seconds, seconds)), max_len,
                    lambda members: frozenset(zip(members, seconds)))
-    return _deepen(graph, start, bytearray(graph.size), limits, max_len, True, guide)
+    return _deepen(graph, start, bytearray(graph.size), max_len, cap, True, guide)
 
 
 def straight_permutator_words(graph: CayleyGraph, states: Sequence[int],
@@ -560,13 +553,13 @@ def permutator_search(graph: CayleyGraph, states: Sequence[int],
     at its first permuting node, which gives the minimal straight
     permutators. A walk long enough to pay for it is guided by the set's
     orbit; a shorter one reads the `permuting` mask."""
-    limits, max_len = _length_bound(graph, 0, limits)
+    max_len, cap = _length_bound(graph, 0, limits)
     if not _worth_a_guide(graph, max_len):
         near = permuting(graph, states).translate(_UNKNOWN)
-        return _deepen(graph, 0, near, limits, max_len, minimal)
+        return _deepen(graph, 0, near, max_len, cap, minimal)
     members = bytes(sorted(stateset(states, graph.presentation.n)))
     guide = _guide(graph.presentation.tables, members, frozenset(members), max_len)
-    return _deepen(graph, 0, bytearray(graph.size), limits, max_len, minimal, guide)
+    return _deepen(graph, 0, bytearray(graph.size), max_len, cap, minimal, guide)
 
 
 def _worth_a_guide(graph: CayleyGraph, bound: int) -> bool:

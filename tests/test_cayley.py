@@ -132,6 +132,13 @@ class TestEnumerate:
                 with pytest.raises(EnumerationLimitExceeded):
                     enumerate_semigroup(p, max_elements=g.order - 1)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_elements_below_one_rejected(self, ex4, cap):
+        with pytest.raises(ValueError) as err:
+            enumerate_semigroup(ex4.presentation, max_elements=cap)
+        assert str(err.value) == f"max_elements must be at least 1, got {cap}"
+        assert not isinstance(err.value, EnumerationLimitExceeded)
+
     def test_identity_membership_matches_closure(self, graphs):
         for g in graphs:
             p = g.presentation

@@ -101,6 +101,28 @@ class TestPresentationFiles:
         code, out, stderr = run(capsys, "order", f)
         assert code == 2 and not out and stderr == f"error: {f}:{line}: {message}\n"
 
+    def test_utf8_files_load_under_an_ascii_locale(self, tmp_path):
+        f = tmp_path / "caf\u00e9.tsg"
+        f.write_text("# caf\u00e9\nstates 2\na = (1,2)\n", encoding="utf-8")
+        sidecar_path(f).write_text("# na\u00efve\nx = a a a\n", encoding="utf-8")
+        src = str(Path(strayt.__file__).parent.parent)
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "strayt", "reduce", f.name, "--word", "@x"],
+                              capture_output=True, cwd=tmp_path, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"a\nlength: 3 -> 1\n", b"")
+
+    @pytest.mark.parametrize("suffix", [".tsg", ".words"])
+    def test_undecodable_byte_reported_at_line_0(self, capsys, tmp_path, suffix):
+        f = tmp_path / "bad.tsg"
+        f.write_text("states 2\na = (1,2)\n")
+        bad = f.with_suffix(suffix)
+        bad.write_bytes(b"# \xff\n" + (b"states 2\na = (1,2)\n" if suffix == ".tsg" else b""))
+        message = (f"{bad}:0: 'utf-8' codec can't decode byte 0xff in position 2: "
+                   "invalid start byte")
+        code, out, stderr = run(capsys, "reduce", f, "--word", "a")
+        assert (code, out, stderr) == (2, [], f"error: {message}\n")
+
     @pytest.mark.parametrize("text, line, message", [
         ("states 3\na [1;2]\n", 2, "expected '<name> = <transformation>'"),
         ("states 3\n = [1;2]\n", 2, "expected '<name> = <transformation>'"),
@@ -252,6 +274,18 @@ class TestStraightCommand:
                            "--target", "bac")
         assert code == 0
         assert [line.split("\t")[0] for line in out] == ["bac"]
+
+    def test_target_that_reads_as_a_word_is_that_word(self, capsys, tmp_path):
+        # names that start as a linear form does; a text no name reads is still a map
+        f = tmp_path / "digits.tsg"
+        f.write_text("states 3\n2 = [1;2]\nb = [2;3]\n( = (1,2)\n")
+        expected = {"2": ["2", "(2"], "2 b": ["2b", "b2b", "b(b", "(2b", "(b2b", "(b(b"],
+                    "(": ["("], "[1;2]": ["2", "(2"], "(1,2)": ["("]}
+        for target, words in expected.items():
+            code, out, _ = run(capsys, "straight", f, "--target", target)
+            assert (code, [line.split("\t")[0] for line in out]) == (0, words), target
+        code, out, err = run(capsys, "straight", f, "--target", "b x")
+        assert (code, out, err) == (2, [], "error: unknown generator name 'x'\n")
 
     def test_census_matches_listing(self, capsys):
         for form, expected in CONSTANT_WORDS.items():

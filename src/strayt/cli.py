@@ -65,7 +65,7 @@ def fixture_path(name: str) -> Path:
 
 def _content_lines(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PresentationFileError(path, 0, str(exc)) from None
     for line_no, raw in enumerate(text.splitlines(), 1):

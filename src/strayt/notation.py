@@ -189,8 +189,7 @@ def parse_images(text: str) -> Transformation:
         if not tok.isdecimal():
             raise NotationError(f"bad image entry {tok!r}")
         images.append(int(tok))
-    n = len(images)
-    for x in images:
-        if not 1 <= x <= n:
-            raise NotationError(f"image {x} is outside 1..{n}")
-    return Transformation(images)
+    try:
+        return Transformation(images)
+    except ValueError as exc:  # an image outside 1..n, in Transformation's words
+        raise NotationError(str(exc)) from None

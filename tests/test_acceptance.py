@@ -10,13 +10,14 @@ import random
 import time
 
 from strayt import (all_straight_words, compose, enumerate_semigroup,
-                    evaluate, factorize, fixture_path, identity,
+                    evaluate, factorize, fixture_path,
                     is_minimal_permutator, load_presentation,
                     minimal_straight_permutators, parse_linear, perm_semigroup,
                     permutes, print_linear, reduce_word, restrict,
                     straight_permutator_words, subgroup_closure,
                     Transformation)
 
+from test_cayley import oracle_is_straight
 from test_straightwords import CONSTANT_WORDS, SINGLETON_WORDS
 
 A_FORM = "([1,2,10;3],[4,7,9,11,12,15,16;5],[6,13,14;8])"
@@ -172,24 +173,6 @@ def test_criterion_09_code_property(ex4, p53):
            f"2000 random code sequences factorize back exactly ({failures} failures)")
 
 
-def _oracle_prefixes(p, word):
-    maps = [identity(p.n)]
-    for letter in word:
-        maps.append(compose(maps[-1], p.generators[letter][1]))
-    return maps
-
-
-def _oracle_straight(p, word):
-    maps = _oracle_prefixes(p, word)
-    e = identity(p.n)
-    last = len(maps) - 1
-    for i in range(last + 1):
-        for j in range(i + 1, last + 1):
-            if maps[i] == maps[j] and not (i == 0 and j == last and maps[j] == e):
-                return False
-    return True
-
-
 def _oracle_minimal_factorization_count(p, word, members):
     m = len(word)
     perm = [[False] * (m + 1) for _ in range(m)]
@@ -217,7 +200,7 @@ def test_criterion_10_brute_force_oracle(ex4):
     permutator_words = 0
     for k in range(1, 9):
         for word in itertools.product(range(3), repeat=k):
-            if ex4.is_straight(word) != _oracle_straight(p, word):
+            if ex4.is_straight(word) != oracle_is_straight(p, word):
                 straight_mismatches += 1
             count, is_permutator = _oracle_minimal_factorization_count(p, word, {1, 2})
             if is_permutator:

@@ -495,6 +495,17 @@ class TestExitCodes:
         assert code == self.DOCUMENTED.get(error.__name__, 2)
         assert not out and err == f"error: {exc}\n"
 
+    # argparse words its faults by Python version, so only the usage line's start is pinned
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["perm", "F"], ["straight", "F", "--all", "--target", "a"],
+        ["straight", "F", "--all", "--max-len", "abc"]], ids=" ".join)
+    def test_usage_fault_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([str(fixture_path("ex4_abc")) if a == "F" else a for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert not captured.out and captured.err.startswith("usage: strayt")
+
     def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
         # 7,040 words, far more than a pipe buffers, so the writer meets the closed pipe
         f = tmp_path / "S5.tsg"

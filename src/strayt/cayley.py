@@ -6,6 +6,7 @@ so that node numbering and first words are reproducible.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from typing import Iterable, Iterator, Sequence
 
@@ -173,15 +174,18 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     ties broken by generator position, which pins node numbering and first
     words. `max_elements` caps the order (the identity counts once a
     product of generators equals it), raising EnumerationLimitExceeded
-    beyond it. State counts above 255 are not supported (images are
-    packed into bytes). The index of every map found and the current and
-    next breadth-first levels exist only while the closure runs.
+    beyond it: the cap is tested as each node is added, and once more
+    with the identity when the closure ends. State counts above 255 are
+    not supported (images are packed into bytes). The index of every map
+    found and the current and next breadth-first levels exist only while
+    the closure runs.
     """
     n = p.n
     if n > MAX_STATES:
         raise ValueError(f"enumeration supports at most {MAX_STATES} states")
     if max_elements is not None and max_elements < 1:
         raise ValueError(f"max_elements must be at least 1, got {max_elements}")
+    limit = sys.maxsize if max_elements is None else max_elements
     tables = p.tables
     ident = bytes(range(1, n + 1))
     packed = bytearray(ident)
@@ -200,14 +204,14 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
                 nxt = index_get(img)
                 if nxt is None:
                     nxt = len(index)
+                    if nxt > limit:
+                        raise EnumerationLimitExceeded(
+                            f"enumeration exceeded the cap of {max_elements} elements")
                     index[img] = nxt
                     fresh.append(img)
                     packed += img
                     found_by.append(len(edges))
                 edges_append(nxt)
-            if max_elements is not None and len(index) - 1 > max_elements:
-                raise EnumerationLimitExceeded(
-                    f"enumeration exceeded the cap of {max_elements} elements")
         level = fresh
 
     # the maps and their index serve only the closure; they go before the

@@ -64,8 +64,11 @@ def fixture_path(name: str) -> Path:
 
 
 def _content_lines(path):
+    # one unbuffered binary read: `splitlines` ends lines at "\r\n" and "\r" as
+    # text mode would; `fspath` keeps an int from reading as a file descriptor
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(os.fspath(path), "rb", buffering=0) as f:
+            text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PresentationFileError(path, 0, str(exc)) from None
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -173,7 +176,8 @@ def _resolve_target(graph: CayleyGraph, text: str, aliases: dict[str, str]) -> i
     return node
 
 
-def _load_graph(path) -> CayleyGraph:
+def _load(path) -> tuple[Presentation, int | None]:
+    """The file's presentation, then the STRAYT_MAX_ELEMENTS cap."""
     p = load_presentation(path)
     cap = os.environ.get("STRAYT_MAX_ELEMENTS")
     max_elements = None
@@ -184,7 +188,7 @@ def _load_graph(path) -> CayleyGraph:
             raise StraytError(f"STRAYT_MAX_ELEMENTS must be an integer, got {cap!r}") from None
         if max_elements < 1:
             raise StraytError(f"STRAYT_MAX_ELEMENTS must be at least 1, got {max_elements}")
-    return enumerate_semigroup(p, max_elements=max_elements)
+    return p, max_elements
 
 
 def _parse_states(text: str) -> list[int]:
@@ -194,11 +198,12 @@ def _parse_states(text: str) -> list[int]:
         raise StraytError(f"bad state set {text!r}; expected e.g. 3,5,8") from None
 
 
-def _graph_and_word(args) -> tuple[CayleyGraph, tuple[int, ...]]:
-    """The enumerated graph and the parsed --word of a word command."""
-    graph = _load_graph(args.file)
+def _load_word(args) -> tuple[Presentation, int | None, tuple[int, ...]]:
+    """`_load`, then the parsed --word of a word command, so that a word
+    that does not parse ends the command before enumeration."""
+    p, cap = _load(args.file)
     aliases = load_word_aliases(sidecar_path(args.file))
-    return graph, parse_cli_word(graph.presentation, args.word, aliases)
+    return p, cap, parse_cli_word(p, args.word, aliases)
 
 
 def _output(args, rows, lines) -> int:
@@ -219,7 +224,7 @@ def _finish_search(graph: CayleyGraph, result) -> int:
 
 
 def cmd_order(args) -> int:
-    graph = _load_graph(args.file)
+    graph = enumerate_semigroup(*_load(args.file))
     has_identity = "yes" if graph.contains_identity else "no"
     return _output(args, [("order", graph.order), ("identity", has_identity)],
                    [graph.order, f"identity in S: {has_identity}"])
@@ -227,7 +232,7 @@ def cmd_order(args) -> int:
 
 def cmd_straight(args) -> int:
     limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
-    graph = _load_graph(args.file)
+    graph = enumerate_semigroup(*_load(args.file))
     if args.all:
         target = None
     else:
@@ -240,8 +245,9 @@ def cmd_perm(args) -> int:
     if not (args.words or args.minimal) and (args.max_len, args.max_results) != (None, None):
         raise StraytError("--max-len and --max-results apply only with --words or --minimal")
     limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
-    graph = _load_graph(args.file)
+    p, cap = _load(args.file)
     states = _parse_states(args.set)
+    graph = enumerate_semigroup(p, max_elements=cap)
     if args.words:
         return _finish_search(graph, straight_permutator_words(graph, states, limits))
     if args.minimal:
@@ -255,23 +261,25 @@ def cmd_perm(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    graph, word = _graph_and_word(args)
-    p = graph.presentation
-    factors = [p.format_word(f) for f in factorize(graph, word, _parse_states(args.set))]
+    p, cap, word = _load_word(args)
+    states = _parse_states(args.set)
+    graph = enumerate_semigroup(p, max_elements=cap)
+    factors = [p.format_word(f) for f in factorize(graph, word, states)]
     return _output(args, (("factor", i, f) for i, f in enumerate(factors, 1)), factors)
 
 
 def cmd_reduce(args) -> int:
-    graph, word = _graph_and_word(args)
-    reduced = reduce_word(graph, word)
-    text = graph.presentation.format_word(reduced)
+    p, cap, word = _load_word(args)
+    reduced = reduce_word(enumerate_semigroup(p, max_elements=cap), word)
+    text = p.format_word(reduced)
     return _output(args, [("reduced", text), ("length_before", len(word)),
                           ("length_after", len(reduced))],
                    [text, f"length: {len(word)} -> {len(reduced)}"])
 
 
 def cmd_trajectory(args) -> int:
-    graph, word = _graph_and_word(args)
+    p, cap, word = _load_word(args)
+    graph = enumerate_semigroup(p, max_elements=cap)
     nodes = graph.trajectory(word)
     forms = [print_linear(graph.element(node)) for node in nodes]
     return _output(args, (("node", i, node, form)

@@ -114,7 +114,7 @@ class TestEnumerate:
             assert all(g1.step(i, a) == g2.step(i, a) for a in range(g1.num_letters))
         assert all(g1.first_word(i) == g2.first_word(i) for i in range(1, g1.size))
 
-    def test_max_elements_cap(self, ex2, ex4, graphs):
+    def test_max_elements_cap(self, ex1, ex2, ex3, ex4, graphs):
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_semigroup(ex4.presentation, max_elements=5)
         assert enumerate_semigroup(ex4.presentation, max_elements=21).order == 21
@@ -131,6 +131,24 @@ class TestEnumerate:
             if g.order > 1:
                 with pytest.raises(EnumerationLimitExceeded):
                     enumerate_semigroup(p, max_elements=g.order - 1)
+        # on the fixtures, every cap below the order fails with one message,
+        # and the cap of the order builds the uncapped graph buffer for buffer
+        for g in (ex1, ex2, ex3, ex4):
+            p = g.presentation
+            for cap in range(1, g.order):
+                with pytest.raises(EnumerationLimitExceeded) as err:
+                    enumerate_semigroup(p, max_elements=cap)
+                assert str(err.value) == f"enumeration exceeded the cap of {cap} elements"
+            capped = enumerate_semigroup(p, max_elements=g.order)
+            assert capped.size == g.size
+            for node in range(g.size):
+                assert capped.images(node) == g.images(node)
+                assert capped.successors(node) == g.successors(node)
+                assert node == 0 or capped.first_word(node) == g.first_word(node)
+        # a cap that is not an integer is compared as it stands
+        with pytest.raises(EnumerationLimitExceeded) as err:
+            enumerate_semigroup(ex2.presentation, max_elements=2.5)
+        assert str(err.value) == "enumeration exceeded the cap of 2.5 elements"
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_max_elements_below_one_rejected(self, ex4, cap):

@@ -506,6 +506,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not captured.out and captured.err.startswith("usage: strayt")
 
+    ARGUMENT_FAULTS = {
+        "perm F --set 1,x": "bad state set '1,x'; expected e.g. 3,5,8",
+        "reduce F --word zz": "unknown generator name 'zz'",
+        "trajectory F --word zz": "unknown generator name 'zz'",
+        "factorize F --set x --word a": "unknown generator name 'a'",
+        "factorize F --set x --word t1": "bad state set 'x'; expected e.g. 3,5,8"}
+
+    @pytest.mark.parametrize("command", ARGUMENT_FAULTS)
+    def test_argument_fault_ends_before_enumeration(self, capsys, monkeypatch, command):
+        def enumerate_semigroup(p, max_elements=None):
+            raise AssertionError("enumerated before the arguments were read")
+
+        monkeypatch.setattr(strayt.cli, "enumerate_semigroup", enumerate_semigroup)
+        argv = [fixture_path("p53") if a == "F" else a for a in command.split()]
+        code, out, err = run(capsys, *argv)
+        message = self.ARGUMENT_FAULTS[command]
+        assert (code, out, err) == (2, [], f"error: {message}\n")
+
+    @pytest.mark.parametrize("cap, message", [
+        ("5", "unknown generator name 'zz'"),  # ex4 has 21 elements: the word fails first
+        ("lots", "STRAYT_MAX_ELEMENTS must be an integer, got 'lots'")])
+    def test_cap_read_before_arguments_and_enforced_after(self, capsys, monkeypatch, cap,
+                                                          message):
+        monkeypatch.setenv("STRAYT_MAX_ELEMENTS", cap)
+        code, out, err = run(capsys, "reduce", fixture_path("ex4_abc"), "--word", "zz")
+        assert (code, out, err) == (2, [], f"error: {message}\n")
+
     def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
         # 7,040 words, far more than a pipe buffers, so the writer meets the closed pipe
         f = tmp_path / "S5.tsg"

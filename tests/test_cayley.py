@@ -1,5 +1,7 @@
 import gc
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -23,6 +25,13 @@ def deep_presentation():
     """Two maps on 5 states generating 641 elements, the identity among them."""
     return Presentation(5, [("a", Transformation((3, 2, 1, 1, 4))),
                             ("b", Transformation((5, 3, 4, 2, 1)))])
+
+
+def alternating_presentation():
+    """A 7-cycle and a product of a 4- and a 2-cycle: they generate A7, a
+    graph of 2,520 nodes whose words to 15 letters the oracle can list."""
+    return Presentation(7, [("a", Transformation((5, 6, 1, 2, 4, 7, 3))),
+                            ("b", Transformation((1, 5, 7, 6, 4, 2, 3)))])
 
 
 def oracle_elements(p):
@@ -165,6 +174,31 @@ class TestEnumerate:
             assert g.order == len(elements)
         assert len({g.contains_identity for g in graphs}) == 2
 
+    IDENTITY_CASES = {
+        "no permutation": Presentation(4, [("a", Transformation((2, 3, 4, 4))),
+                                           ("b", Transformation((1, 1, 3, 4)))]),
+        "one permutation among collapsing maps": Presentation(5, [
+            ("c", Transformation((1, 1, 1, 1, 1))),
+            ("p", Transformation((2, 3, 1, 5, 4))),
+            ("e", Transformation((1, 2, 3, 3, 5)))]),
+        "identity generator": Presentation(3, [("a", Transformation((2, 2, 3))),
+                                               ("e", Transformation((1, 2, 3)))]),
+        "one state": Presentation(1, [("a", Transformation((1,)))]),
+    }
+
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_identity_is_generated_exactly_when_a_generator_permutes(self, case):
+        p = self.IDENTITY_CASES[case]
+        g = enumerate_semigroup(p)
+        elements = oracle_elements(p)
+        assert g.contains_identity == (identity(p.n) in elements) == (case != "no permutation")
+        assert g.order == len(elements)
+        # the cap counts the identity like any other element
+        assert enumerate_semigroup(p, max_elements=g.order).contains_identity == g.contains_identity
+        if g.order > 1:
+            with pytest.raises(EnumerationLimitExceeded):
+                enumerate_semigroup(p, max_elements=g.order - 1)
+
     def test_images_are_the_node_maps(self, ex1, ex4):
         for g in (ex1, ex4):
             for node in range(g.size):
@@ -196,7 +230,7 @@ class TestEnumerate:
             ex4.step(0, letter)
 
     def test_retains_flat_storage_only(self):
-        # n bytes of images, k edges and one discovering edge of 4 bytes each
+        # n bytes of images and k edges of 4 bytes each
         p = deep_presentation()
         gc.collect()
         tracemalloc.start()
@@ -207,7 +241,7 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert graph.size == 641
-        assert held <= (p.n + 4 * graph.num_letters + 4) * graph.size + 4096
+        assert held <= (p.n + 4 * graph.num_letters) * graph.size + 4096
 
     def test_too_many_states_rejected(self):
         with pytest.raises(ValueError):
@@ -368,6 +402,56 @@ class TestFirstWords:
     def test_node_zero_has_no_first_word(self, ex2):
         with pytest.raises(ValueError):
             ex2.first_word(0)
+
+    def test_census_size_first_words_match_the_oracle(self):
+        g = enumerate_semigroup(alternating_presentation())
+        assert g.size == 2520
+        first = oracle_first_words(g.presentation, budget=40000)
+        words = [g.first_word(node) for node in range(1, g.size)]
+        assert words == [first[tuple(g.images(node))] for node in range(1, g.size)]
+        assert [g.first_word(node) for node in range(g.size - 1, 0, -1)] == words[::-1]
+
+    def test_first_edges_are_kept_from_the_first_call_on(self):
+        p = alternating_presentation()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = enumerate_semigroup(p)
+            gc.collect()
+            enumerated = tracemalloc.get_traced_memory()[0]
+            last = graph.first_word(graph.size - 1)
+            asked = tracemalloc.get_traced_memory()[0]
+            assert graph.first_word(graph.size - 1) == last
+            asked_again = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # no table until a first word is asked for, then one 4-byte edge per node, once
+        assert enumerated <= (p.n + 4 * graph.num_letters) * graph.size + 4096
+        assert asked - enumerated >= 4 * (graph.size - 1)
+        assert asked_again - asked < 1024
+
+    def test_threads_racing_on_the_first_call_read_whole_tables(self):
+        expected = enumerate_semigroup(alternating_presentation())
+        expected = [expected.first_word(node) for node in range(1, expected.size)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                g = enumerate_semigroup(alternating_presentation())
+                seen = []
+                # each thread starts at another node, so some read while the table is built
+                threads = [threading.Thread(target=lambda start=start: seen.append(
+                               [g.first_word(node) for node in range(start, g.size)]))
+                           for start in (1, 600, 1200, 1800, 2400)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(seen, key=len, reverse=True) == [
+                    expected[start - 1:] for start in (1, 600, 1200, 1800, 2400)]
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestSynonymTrajectories:

@@ -511,7 +511,15 @@ class TestExitCodes:
         "reduce F --word zz": "unknown generator name 'zz'",
         "trajectory F --word zz": "unknown generator name 'zz'",
         "factorize F --set x --word a": "unknown generator name 'a'",
-        "factorize F --set x --word t1": "bad state set 'x'; expected e.g. 3,5,8"}
+        "factorize F --set x --word t1": "bad state set 'x'; expected e.g. 3,5,8",
+        "straight F --target @nosuch": "unknown word alias '@nosuch'",
+        "straight F --target zz": "unknown generator name 'zz'",
+        "straight F --target [17]": "point 17 is outside 1..16",
+        "perm F --set 3,99": "state 99 is outside 1..16",
+        "perm F --set 3,99 --minimal": "state 99 is outside 1..16",
+        "perm F --set ,": "state set must be nonempty",
+        "factorize F --set 3,99 --word zz": "unknown generator name 'zz'",
+        "factorize F --set 3,99 --word t1": "state 99 is outside 1..16"}
 
     @pytest.mark.parametrize("command", ARGUMENT_FAULTS)
     def test_argument_fault_ends_before_enumeration(self, capsys, monkeypatch, command):
@@ -523,6 +531,25 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         message = self.ARGUMENT_FAULTS[command]
         assert (code, out, err) == (2, [], f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ARGUMENT_FAULTS)
+    def test_argument_fault_outranks_the_enumeration_cap(self, capsys, monkeypatch, command):
+        # p53 passes a cap of 1 at its second element, so a fault read after
+        # enumeration would end with exit 5
+        monkeypatch.setenv("STRAYT_MAX_ELEMENTS", "1")
+        argv = [fixture_path("p53") if a == "F" else a for a in command.split()]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, [], f"error: {self.ARGUMENT_FAULTS[command]}\n")
+
+    @pytest.mark.parametrize("command", [
+        "straight F --target @a",
+        "straight F --target [1;2][3;4][5;6][7;9][8;10][11;12][13;14][15;16]",  # t1's map
+        "perm F --set 3,5,8", "factorize F --set 3,5,8 --word @a"])
+    def test_arguments_that_parse_meet_the_enumeration_cap(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("STRAYT_MAX_ELEMENTS", "1")
+        argv = [fixture_path("p53") if a == "F" else a for a in command.split()]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (5, [], "error: enumeration exceeded the cap of 1 elements\n")
 
     @pytest.mark.parametrize("cap, message", [
         ("5", "unknown generator name 'zz'"),  # ex4 has 21 elements: the word fails first

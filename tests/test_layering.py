@@ -59,7 +59,8 @@ def test_module_uses_public_names_only(path):
 
 
 def test_graph_storage_is_guarded():
-    # the three buffers and the letter count are all a graph keeps
+    # the two buffers, the first-edge table built on demand and the letter count
+    # are all a graph keeps
     assert GRAPH_PRIVATE == {"_packed", "_edges", "_found_by", "_k"}
 
 

@@ -11,10 +11,7 @@ import sys
 from array import array
 from typing import Iterable, Iterator, Sequence
 
-from .core import Presentation, StraytError, Transformation, check_word
-
-
-MAX_STATES = 255  # images are packed one byte per state
+from .core import MAX_STATES, Presentation, StraytError, Transformation, check_word
 
 
 class NotInSemigroup(StraytError):
@@ -38,20 +35,21 @@ class CayleyGraph:
     target. `_found_by`, for each node >= 1 the index in `_edges` of the
     edge that first reached it, which spells the node's first word, is
     built on the first `first_word` call. Node 0 is the identity map
-    whether or not a nonempty word realizes it; `contains_identity` says
-    whether one does, which is exactly when some generator is a
-    permutation: a product's rank is at most each factor's, so a word for
-    the identity uses permutations only, and a permutation g of order m
-    has g^m the identity.
+    whether or not a nonempty word realizes it; `contains_identity`, given
+    by `enumerate_semigroup`, says whether one does, which is exactly when
+    some generator is a permutation: a product's rank is at most each
+    factor's, so a word for the identity uses permutations only, and a
+    permutation g of order m has g^m the identity.
     """
 
-    def __init__(self, presentation: Presentation, packed: bytes, edges: array):
+    def __init__(self, presentation: Presentation, packed: bytes, edges: array,
+                 contains_identity: bool):
         self.presentation = presentation
         self._packed = packed
         self._edges = edges
         self._found_by: array | None = None
         self._k = len(presentation.generators)
-        self.contains_identity = any(t.is_permutation() for _, t in presentation.generators)
+        self.contains_identity = contains_identity
 
     @property
     def num_letters(self) -> int:
@@ -188,21 +186,22 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
 
     Discovery order is fixed: elements appear in word-length order with
     ties broken by generator position, which pins node numbering and first
-    words. `max_elements` caps the order (the identity counts once a
-    product of generators equals it), raising EnumerationLimitExceeded
-    beyond it: the cap is tested as each node is added, and once more
-    with the identity when the closure ends. State counts above 255 are
-    not supported (images are packed into bytes). The closure keeps the
-    maps and the edges only; the index of every map found and the current
-    and next breadth-first levels exist only while it runs, and first
-    words are derived from the edges when first asked for.
+    words. `max_elements` caps the order, raising EnumerationLimitExceeded
+    as the node that passes it is added, the one place the cap is tested:
+    the identity counts from the start when some generator is a
+    permutation, which is when a product of generators equals it. State
+    counts above 255 are not supported (images are packed into bytes). The
+    closure keeps the maps and the edges only; the index of every map found
+    and the current and next breadth-first levels exist only while it runs,
+    and first words are derived from the edges when first asked for.
     """
     n = p.n
     if n > MAX_STATES:
         raise ValueError(f"enumeration supports at most {MAX_STATES} states")
     if max_elements is not None and max_elements < 1:
         raise ValueError(f"max_elements must be at least 1, got {max_elements}")
-    limit = sys.maxsize if max_elements is None else max_elements
+    contains_identity = any(t.is_permutation() for _, t in p.generators)
+    limit = (sys.maxsize if max_elements is None else max_elements) - contains_identity
     tables = p.tables
     ident = bytes(range(1, n + 1))
     packed = bytearray(ident)
@@ -232,8 +231,4 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     # the maps and their index serve only the closure; they go before the
     # buffer is copied, so the copy never adds to the peak
     del index, index_get, src, img
-    graph = CayleyGraph(p, bytes(packed), edges)
-    if max_elements is not None and graph.order > max_elements:  # the identity counts too
-        raise EnumerationLimitExceeded(
-            f"enumeration exceeded the cap of {max_elements} elements")
-    return graph
+    return CayleyGraph(p, bytes(packed), edges, contains_identity)

@@ -24,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Presentation, StraytError, Transformation, stateset
+from .core import Presentation, StraytError, Transformation, evaluate, stateset
 from .notation import NotationError, parse_images, parse_linear, print_linear
 from .cayley import (MAX_STATES, CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
                      enumerate_semigroup)
@@ -161,26 +161,15 @@ def parse_cli_word(p: Presentation, text: str,
     return p.word(_ALIAS.sub(expand, text))
 
 
-def _parse_target(p: Presentation, text: str,
-                  aliases: dict[str, str]) -> tuple[int, ...] | Transformation:
-    """A target argument: a word if it reads as one, else a map."""
+def _parse_target(p: Presentation, text: str, aliases: dict[str, str]) -> Transformation:
+    """A target argument's map: the value of a word if it reads as one, else the map."""
     text = text.strip()
     try:
-        return parse_cli_word(p, text, aliases)
+        return evaluate(p, parse_cli_word(p, text, aliases))
     except ValueError:
         if text and not (text.startswith("images:") or text[0].isdigit() or text[0] in "[("):
             raise
     return _parse_map(text, p.n)
-
-
-def _target_node(graph: CayleyGraph, target: tuple[int, ...] | Transformation) -> int:
-    """The node of a parsed target: a word's end node, or a map's node."""
-    if not isinstance(target, Transformation):
-        return graph.walk(target)
-    node = graph.element_index(target)
-    if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
-        raise NotInSemigroup(f"{target!r} is not generated by the presentation")
-    return node
 
 
 def _load(path) -> tuple[Presentation, int | None]:
@@ -246,7 +235,9 @@ def cmd_straight(args) -> int:
     if not args.all:
         target = _parse_target(p, args.target, load_word_aliases(sidecar_path(args.file)))
     graph = enumerate_semigroup(p, max_elements=cap)
-    node = None if target is None else _target_node(graph, target)
+    node = None if target is None else graph.element_index(target)
+    if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
+        raise NotInSemigroup(f"{target!r} is not generated by the presentation")
     return _finish_search(graph, all_straight_words(graph, node, limits))
 
 

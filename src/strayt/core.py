@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+MAX_STATES = 255  # images are packed one byte per state
+
 
 class StraytError(Exception):
     """Base class for errors raised by this package."""
@@ -115,7 +117,7 @@ class Presentation:
         # each generator as a bytes.translate table: state x goes to its
         # image, every other byte to itself; a byte holds at most 255 states
         self.tables = tuple(_BYTES[:1] + bytes(t.images) + _BYTES[n + 1:]
-                            for _, t in gens) if n < 256 else ()
+                            for _, t in gens) if n <= MAX_STATES else ()
         self._positions = positions
         self._single_char = all(len(name) == 1 for name in positions)
 

@@ -174,7 +174,10 @@ class WordSearch:
         return len(self.words)
 
     def __contains__(self, word: object) -> bool:
-        return tuple(word) in self.words
+        try:
+            return tuple(word) in self.words
+        except TypeError:  # not iterable, so not a word
+            return False
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

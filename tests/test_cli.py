@@ -298,6 +298,9 @@ class TestStraightCommand:
                                "--target", form)
             assert code == 0
             assert [line.split("\t")[0] for line in out] == [word]
+            # the word names the same target as its map
+            assert run(capsys, "straight", fixture_path("ex4_abc"),
+                       "--target", word) == (0, out, "")
 
     def test_all_words(self, capsys):
         code, out, _ = run(capsys, "straight", fixture_path("ex4_abc"), "--all")

@@ -751,6 +751,9 @@ class TestStreaming:
         result = straight_permutator_words(ex4, {1, 2})
         assert result != result.words and result != list(result)
         assert result.__eq__(result.words) is NotImplemented
+        # membership asks for a word: anything else, iterable or not, is absent
+        assert 5 not in result and None not in result and result.words not in result
+        assert result.words[0] in result and list(result.words[0]) in result
 
     def test_pickles_as_its_words(self, ex4):
         result = straight_permutator_words(ex4, {1, 2}, SearchLimits(max_results=3))

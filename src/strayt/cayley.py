@@ -11,7 +11,7 @@ import sys
 from array import array
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_STATES, Presentation, StraytError, Transformation, check_word
+from .core import Presentation, StraytError, Transformation, check_word
 
 
 class NotInSemigroup(StraytError):
@@ -189,15 +189,12 @@ def enumerate_semigroup(p: Presentation, max_elements: int | None = None) -> Cay
     words. `max_elements` caps the order, raising EnumerationLimitExceeded
     as the node that passes it is added, the one place the cap is tested:
     the identity counts from the start when some generator is a
-    permutation, which is when a product of generators equals it. State
-    counts above 255 are not supported (images are packed into bytes). The
+    permutation, which is when a product of generators equals it. The
     closure keeps the maps and the edges only; the index of every map found
     and the current and next breadth-first levels exist only while it runs,
     and first words are derived from the edges when first asked for.
     """
     n = p.n
-    if n > MAX_STATES:
-        raise ValueError(f"enumeration supports at most {MAX_STATES} states")
     if max_elements is not None and max_elements < 1:
         raise ValueError(f"max_elements must be at least 1, got {max_elements}")
     contains_identity = any(t.is_permutation() for _, t in p.generators)

@@ -24,10 +24,9 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Presentation, StraytError, Transformation, evaluate, stateset
+from .core import MAX_STATES, Presentation, StraytError, Transformation, evaluate, stateset
 from .notation import NotationError, parse_images, parse_linear, print_linear
-from .cayley import (MAX_STATES, CayleyGraph, EnumerationLimitExceeded, NotInSemigroup,
-                     enumerate_semigroup)
+from .cayley import CayleyGraph, EnumerationLimitExceeded, NotInSemigroup, enumerate_semigroup
 from .straightwords import SearchLimits, all_straight_words, straight_permutator_words
 from .permutator import (NotAPermutatorWord, factorize, minimal_straight_permutators,
                          perm_semigroup, reduce_word)
@@ -172,9 +171,13 @@ def _parse_target(p: Presentation, text: str, aliases: dict[str, str]) -> Transf
     return _parse_map(text, p.n)
 
 
-def _load(path) -> tuple[Presentation, int | None]:
-    """The file's presentation, then the STRAYT_MAX_ELEMENTS cap."""
-    p = load_presentation(path)
+def _setup(args) -> tuple[CayleyGraph, tuple[int, ...] | None, Transformation | None,
+                          frozenset[int] | None]:
+    """The graph, then the command's parsed --word, --target and --set (None
+    where not given), read in fault order: the file, STRAYT_MAX_ELEMENTS,
+    the `.words` sidecar (only for a --word or a --target), --word, --target
+    and --set, so that any fault ends the command before the one enumeration."""
+    p = load_presentation(args.file)
     cap = os.environ.get("STRAYT_MAX_ELEMENTS")
     max_elements = None
     if cap:
@@ -184,24 +187,18 @@ def _load(path) -> tuple[Presentation, int | None]:
             raise StraytError(f"STRAYT_MAX_ELEMENTS must be an integer, got {cap!r}") from None
         if max_elements < 1:
             raise StraytError(f"STRAYT_MAX_ELEMENTS must be at least 1, got {max_elements}")
-    return p, max_elements
-
-
-def _parse_states(text: str, n: int) -> frozenset[int]:
-    """A --set argument, checked against the n states before any enumeration."""
-    try:
-        states = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise StraytError(f"bad state set {text!r}; expected e.g. 3,5,8") from None
-    return stateset(states, n)
-
-
-def _load_word(args) -> tuple[Presentation, int | None, tuple[int, ...]]:
-    """`_load`, then the parsed --word of a word command, so that a word
-    that does not parse ends the command before enumeration."""
-    p, cap = _load(args.file)
-    aliases = load_word_aliases(sidecar_path(args.file))
-    return p, cap, parse_cli_word(p, args.word, aliases)
+    aliases = ({} if args.word is None and args.target is None
+               else load_word_aliases(sidecar_path(args.file)))
+    word = None if args.word is None else parse_cli_word(p, args.word, aliases)
+    target = None if args.target is None else _parse_target(p, args.target, aliases)
+    states = None
+    if args.set is not None:
+        try:
+            states = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise StraytError(f"bad state set {args.set!r}; expected e.g. 3,5,8") from None
+        states = stateset(states, p.n)
+    return enumerate_semigroup(p, max_elements=max_elements), word, target, states
 
 
 def _output(args, rows, lines) -> int:
@@ -222,7 +219,7 @@ def _finish_search(graph: CayleyGraph, result) -> int:
 
 
 def cmd_order(args) -> int:
-    graph = enumerate_semigroup(*_load(args.file))
+    graph = _setup(args)[0]
     has_identity = "yes" if graph.contains_identity else "no"
     return _output(args, [("order", graph.order), ("identity", has_identity)],
                    [graph.order, f"identity in S: {has_identity}"])
@@ -230,11 +227,7 @@ def cmd_order(args) -> int:
 
 def cmd_straight(args) -> int:
     limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
-    p, cap = _load(args.file)
-    target = None
-    if not args.all:
-        target = _parse_target(p, args.target, load_word_aliases(sidecar_path(args.file)))
-    graph = enumerate_semigroup(p, max_elements=cap)
+    graph, _, target, _ = _setup(args)
     node = None if target is None else graph.element_index(target)
     if node == 0 and not graph.contains_identity:  # node 0 is adjoined, not generated
         raise NotInSemigroup(f"{target!r} is not generated by the presentation")
@@ -245,9 +238,7 @@ def cmd_perm(args) -> int:
     if not (args.words or args.minimal) and (args.max_len, args.max_results) != (None, None):
         raise StraytError("--max-len and --max-results apply only with --words or --minimal")
     limits = SearchLimits(max_length=args.max_len, max_results=args.max_results)
-    p, cap = _load(args.file)
-    states = _parse_states(args.set, p.n)
-    graph = enumerate_semigroup(p, max_elements=cap)
+    graph, _, _, states = _setup(args)
     if args.words:
         return _finish_search(graph, straight_permutator_words(graph, states, limits))
     if args.minimal:
@@ -261,25 +252,22 @@ def cmd_perm(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    p, cap, word = _load_word(args)
-    states = _parse_states(args.set, p.n)
-    graph = enumerate_semigroup(p, max_elements=cap)
-    factors = [p.format_word(f) for f in factorize(graph, word, states)]
+    graph, word, _, states = _setup(args)
+    factors = [graph.presentation.format_word(f) for f in factorize(graph, word, states)]
     return _output(args, (("factor", i, f) for i, f in enumerate(factors, 1)), factors)
 
 
 def cmd_reduce(args) -> int:
-    p, cap, word = _load_word(args)
-    reduced = reduce_word(enumerate_semigroup(p, max_elements=cap), word)
-    text = p.format_word(reduced)
+    graph, word, _, _ = _setup(args)
+    reduced = reduce_word(graph, word)
+    text = graph.presentation.format_word(reduced)
     return _output(args, [("reduced", text), ("length_before", len(word)),
                           ("length_after", len(reduced))],
                    [text, f"length: {len(word)} -> {len(reduced)}"])
 
 
 def cmd_trajectory(args) -> int:
-    p, cap, word = _load_word(args)
-    graph = enumerate_semigroup(p, max_elements=cap)
+    graph, word, _, _ = _setup(args)
     nodes = graph.trajectory(word)
     forms = [print_linear(graph.element(node)) for node in nodes]
     return _output(args, (("node", i, node, form)
@@ -302,6 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="strayt",
         description="Enumerate a transformation semigroup, its straight words, "
                     "and the permutators of a state subset.")
+    parser.set_defaults(word=None, target=None, set=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("order", parents=[common],
@@ -363,7 +352,9 @@ def main(argv=None) -> int:
             fd = sys.stdout.fileno()
         except (AttributeError, ValueError):  # no descriptor, as in an in-process caller's stream
             return EXIT_BROKEN_PIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
 
 

@@ -90,13 +90,16 @@ _BYTES = bytes(range(256))
 
 
 class Presentation:
-    """A state count together with an ordered list of named generator maps."""
+    """A state count together with an ordered list of named generator maps;
+    state counts above 255 are not supported (images are packed into bytes)."""
 
     __slots__ = ("n", "generators", "names", "tables", "_positions", "_single_char")
 
     def __init__(self, n: int, generators: Iterable[tuple[str, Transformation]]) -> None:
         if n < 1:
             raise ValueError("state count must be at least 1")
+        if n > MAX_STATES:
+            raise ValueError(f"state count must be at most {MAX_STATES}")
         gens = tuple((name, t) for name, t in generators)
         if not gens:
             raise ValueError("at least one generator is required")
@@ -115,9 +118,8 @@ class Presentation:
         self.generators = gens
         self.names: tuple[str, ...] = tuple(positions)
         # each generator as a bytes.translate table: state x goes to its
-        # image, every other byte to itself; a byte holds at most 255 states
-        self.tables = tuple(_BYTES[:1] + bytes(t.images) + _BYTES[n + 1:]
-                            for _, t in gens) if n <= MAX_STATES else ()
+        # image, every other byte to itself
+        self.tables = tuple(_BYTES[:1] + bytes(t.images) + _BYTES[n + 1:] for _, t in gens)
         self._positions = positions
         self._single_char = all(len(name) == 1 for name in positions)
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -578,6 +579,17 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=60)
         assert (first, err, proc.returncode) == (b"s\t(1,2)\n", b"", 141)
         assert "141 standard output closed" in " ".join(strayt.cli.__doc__.split())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_leaves_no_descriptor_open(self):
+        # in-process, the pipe's write end becomes /dev/null; the descriptor
+        # opened on /dev/null for that must not stay open after it
+        before = len(os.listdir("/proc/self/fd"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as stdout, contextlib.redirect_stdout(stdout):
+            code = main(["straight", str(fixture_path("ex4_abc")), "--all"])
+        assert (code, len(os.listdir("/proc/self/fd"))) == (141, before)
 
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted(graph, target, limits):

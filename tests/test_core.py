@@ -196,6 +196,8 @@ class TestPresentation:
             Presentation(0, [("t", T)])
         with pytest.raises(ValueError, match="at least one generator"):
             Presentation(4, [])
+        with pytest.raises(ValueError, match="state count must be at most 255"):
+            Presentation(256, [("e", identity(256))])
 
     def test_word_with_separators(self):
         p = abc_presentation()
